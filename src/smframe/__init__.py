@@ -23,7 +23,6 @@ from .gauge import (CompatReport, Connection, Coordinates,
                     parallel_gauge_sweep_1d, remove_mean_connection,
                     rotate_frame, validate_frame)
 from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
-                   gnls_state_from_map,
                    gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                    parabolic_gnls_step)
 from .direct import (MapState, heisenberg_step, hyperbolic_sm_step,

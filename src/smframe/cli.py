@@ -1,6 +1,6 @@
 """Command-line front-end.
 
-    smframe run <config.cfg> [--output DIR] [--threads N] [--verbose]
+    smframe run <config.cfg> [--output DIR] [--verbose]
     smframe roundtrip <config.cfg> ...
     smframe diagnose <snapshot.smfs>
     smframe version
@@ -12,7 +12,6 @@ failure.  All messages go to standard error; data goes to files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
@@ -38,9 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config_path", nargs="?", help="INI run configuration")
         p.add_argument("--config", dest="config_flag", help="INI run configuration")
         p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int,
-                       default=None, help="worker thread count "
-                       "(default: SMFRAME_THREADS or 1)")
         p.add_argument("--verbose", action="store_true")
         return p
 
@@ -55,26 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(requested: int | None) -> int:
-    if requested is not None:
-        return requested
-    env = os.environ.get("SMFRAME_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("SMFRAME_THREADS", f"not an integer: {env!r}")
-    return 1
-
-
 def _cmd_run(args, force_experiment: str | None = None) -> int:
     path = args.config_flag or args.config_path
     if not path:
         print("error: no config given (positional or --config)", file=sys.stderr)
-        return EXIT_CONFIG
-    threads = _resolve_threads(args.threads)
-    if threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
         return EXIT_CONFIG
     cfg = load_config(path)
     if force_experiment and cfg.experiment != force_experiment:
@@ -82,7 +62,7 @@ def _cmd_run(args, force_experiment: str | None = None) -> int:
                           f"subcommand expects {force_experiment!r}, "
                           f"config says {cfg.experiment!r}")
     from .runner import execute
-    outdir = execute(cfg, Path(path).read_text(), args.output, threads)
+    outdir = execute(cfg, Path(path).read_text(), args.output)
     if args.verbose:
         print(f"run {cfg.run_id!r} finished; outputs in {outdir}", file=sys.stderr)
     return EXIT_OK

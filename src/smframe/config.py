@@ -30,6 +30,7 @@ Layout::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -110,8 +111,10 @@ def load_config(path) -> RunConfig:
     if dt <= 0:
         raise ConfigError("run.dt", f"must be positive, got {dt}")
     t_end = _get(run, "t_end", float, "run.t_end")
-    if t_end < 0:
-        raise ConfigError("run.t_end", f"must be nonnegative, got {t_end}")
+    if not 0 <= t_end < math.inf:
+        raise ConfigError("run.t_end", f"must be finite and nonnegative, got {t_end}")
+    if not math.isclose(t_end / dt, round(t_end / dt), rel_tol=1e-9):
+        raise ConfigError("run.t_end", f"not a whole number of steps of dt = {dt}")
     snapshot_every = _get(run, "snapshot_every", int, "run.snapshot_every", default=1)
     if snapshot_every < 1:
         raise ConfigError("run.snapshot_every",

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry as geo
-from .direct import MapState, map_moment
+from .direct import MapState, dirichlet_density
 from .errors import CadenceMismatch, NegativeEnergy
-from .field import Grid, integrate, spectral_derivative
+from .field import integrate
 
 
 def killing_functionals(state: MapState) -> np.ndarray:
@@ -45,10 +45,7 @@ def energy_map(state: MapState) -> float:
     -1e-10 means the state has left the hyperboloid and raises
     NegativeEnergy instead of silently returning garbage.
     """
-    density = np.zeros(state.grid.shape)
-    for k in range(state.grid.dim):
-        du = spectral_derivative(state.grid, state.u, k)
-        density += geo.inner(state.target, du, du)
+    density = dirichlet_density(state.target, state.grid, state.u)
     value = float(integrate(state.grid, density))
     if value < -1e-10:
         raise NegativeEnergy(
@@ -59,10 +56,7 @@ def energy_map(state: MapState) -> float:
 def lorentz_weighted_energy(state: MapState) -> float:
     """int <grad u, grad u> u0 dx, the dissipation-rate weight of the
     parabolic hyperbolic flow (u0 = cosh chi)."""
-    density = np.zeros(state.grid.shape)
-    for k in range(state.grid.dim):
-        du = spectral_derivative(state.grid, state.u, k)
-        density += geo.inner(state.target, du, du)
+    density = dirichlet_density(state.target, state.grid, state.u)
     return float(integrate(state.grid, density * state.u[..., 0]))
 
 

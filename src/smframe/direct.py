@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, integrate, spectral_derivative
+from .field import Grid, integrate, lawson_heun, rk4, spectral_derivative
 from .gnls import check_cfl
 
 
@@ -51,12 +51,13 @@ def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray
     return out
 
 
-def _rk4_map(target: geo.Target, grid: Grid, u: np.ndarray, dt: float) -> np.ndarray:
-    k1 = flux_divergence(target, grid, u)
-    k2 = flux_divergence(target, grid, u + 0.5 * dt * k1)
-    k3 = flux_divergence(target, grid, u + 0.5 * dt * k2)
-    k4 = flux_divergence(target, grid, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """sum_k <d_k u, d_k u> in the target metric."""
+    density = np.zeros(grid.shape)
+    for k in range(grid.dim):
+        du = spectral_derivative(grid, u, k)
+        density += geo.inner(target, du, du)
+    return density
 
 
 def heisenberg_step(state: MapState, dt: float) -> MapState:
@@ -64,7 +65,7 @@ def heisenberg_step(state: MapState, dt: float) -> MapState:
     if state.target.kind != "sphere":
         raise ValueError("heisenberg_step needs a sphere target")
     check_cfl(state.grid, dt)
-    u = _rk4_map(state.target, state.grid, state.u, dt)
+    u = rk4(lambda s, v: flux_divergence(state.target, state.grid, v), state.u, dt)
     return replace(state, time=state.time + dt, u=geo.retract(state.target, u))
 
 
@@ -78,7 +79,7 @@ def hyperbolic_sm_step(state: MapState, dt: float, _retried: bool = False) -> Ma
         raise ValueError("hyperbolic_sm_step needs a hyperbolic target")
     check_cfl(state.grid, dt)
     try:
-        u = _rk4_map(state.target, state.grid, state.u, dt)
+        u = rk4(lambda s, v: flux_divergence(state.target, state.grid, v), state.u, dt)
         u = geo.retract(state.target, u)
     except DegenerateRetraction:
         if _retried:
@@ -98,25 +99,12 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
         raise InvalidStep(f"epsilon must be positive, got {epsilon}")
     tg, grid = state.target, state.grid
     nu = epsilon / (1.0 + epsilon**2)
-    propagator = np.exp(-nu * grid.k_squared * dt)[..., np.newaxis]
-    axes = tuple(range(grid.dim))
-
-    def apply_linear(v):
-        return np.fft.ifftn(np.fft.fftn(v, axes=axes) * propagator, axes=axes).real
 
     def nonlinear(v):
-        grad_sq = np.zeros(grid.shape)
-        for k in range(grid.dim):
-            dv = spectral_derivative(grid, v, k)
-            grad_sq += geo.inner(tg, dv, dv)
         return (flux_divergence(tg, grid, v) / (1.0 + epsilon**2)
-                - nu * grad_sq[..., np.newaxis] * v)
+                - nu * dirichlet_density(tg, grid, v)[..., np.newaxis] * v)
 
-    u = state.u
-    n0 = nonlinear(u)
-    predictor = apply_linear(u + dt * n0)
-    n1 = nonlinear(predictor)
-    u_new = apply_linear(u + 0.5 * dt * n0) + 0.5 * dt * n1
+    u_new = lawson_heun(grid, state.u, dt, nu, nonlinear)
     return replace(state, time=state.time + dt, u=geo.retract(tg, u_new))
 
 

@@ -2,9 +2,10 @@
 
 Everything lives on a uniform periodic box sampled with a power-of-two
 number of points per axis.  Scalar fields are arrays of shape grid.shape;
-vector fields carry a trailing axis of length 3.  Derivatives, the Poisson
-solve, and interpolation are Fourier collocation operations, so they are
-exact on band-limited data.
+vector fields carry a trailing axis of length 3, and stacked states (the
+d coordinates q_l) a trailing component axis of length d.  Derivatives,
+the Poisson solve, and interpolation are Fourier collocation operations,
+so they are exact on band-limited data.
 
 Coordinates are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
@@ -141,14 +142,6 @@ def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:
     return total
 
 
-def sample_line(f: np.ndarray, axis: int, fixed_indices: dict[int, int]) -> np.ndarray:
-    """Extract the 1D slice along `axis` with the other grid axes pinned."""
-    index: list[object] = [slice(None)] * f.ndim
-    for ax, i in fixed_indices.items():
-        index[ax] = i
-    return f[tuple(index)]
-
-
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """2/3-rule truncation: zero every mode with |k_axis| > n_axis/3."""
     f = np.asarray(f)
@@ -182,6 +175,30 @@ def fractional_shift(grid: Grid, f: np.ndarray, axis: int,
     return out if np.iscomplexobj(f) else out.real
 
 
-def half_shift(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Values of f at the axis midpoints x + h/2 by spectral phase shift."""
-    return fractional_shift(grid, f, axis, 0.5)
+def rk4(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(s, y), where s in {0, 1/2, 1} is
+    the stage time as a fraction of h (for coefficients sampled in time)."""
+    k1 = f(0.0, y)
+    k2 = f(0.5, y + 0.5 * h * k1)
+    k3 = f(0.5, y + 0.5 * h * k2)
+    k4 = f(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def lawson_heun(grid: Grid, y: np.ndarray, h: float, c: complex,
+                nonlinear) -> np.ndarray:
+    """One Lawson (integrating-factor) Heun step of dy/dt = c Lap y + N(y):
+    the stiff factor exp(-c |k|^2 h) is exact in Fourier space, and N goes
+    through an explicit trapezoidal corrector.  Real y stays real."""
+    axes = tuple(range(grid.dim))
+    propagator = np.exp(-c * grid.k_squared * h).reshape(
+        grid.shape + (1,) * (y.ndim - grid.dim))
+
+    def apply_linear(v):
+        out = np.fft.ifftn(np.fft.fftn(v, axes=axes) * propagator, axes=axes)
+        return out if np.iscomplexobj(y) else out.real
+
+    n0 = nonlinear(y)
+    predictor = apply_linear(y + h * n0)
+    n1 = nonlinear(predictor)
+    return apply_linear(y + 0.5 * h * n0) + 0.5 * h * n1

@@ -20,14 +20,14 @@ covariant derivative D_l = d_l + i a_l transforms covariantly).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
 from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
-from .field import Grid, half_shift, integrate, poisson_solve, sample_line, spectral_derivative
+from .field import Grid, poisson_solve, spectral_derivative
 
 FRAME_TOL = 1e-8
 
@@ -39,10 +39,6 @@ class Coordinates:
     q: tuple[np.ndarray, ...]
     q0: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.q)
-
 
 @dataclass
 class Connection:
@@ -51,10 +47,6 @@ class Connection:
     a: tuple[np.ndarray, ...]
     a0: np.ndarray | None = None
     gauge: str = "other"  # coulomb | parallel-1d | exponential | other
-
-    @property
-    def dim(self) -> int:
-        return len(self.a)
 
 
 def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray,
@@ -267,6 +259,15 @@ def covariant_derivative(grid: Grid, q: np.ndarray, a: np.ndarray,
                          axis: int) -> np.ndarray:
     """D_axis q = (d_axis + i a_axis) q."""
     return spectral_derivative(grid, q, axis) + 1j * a * q
+
+
+def covariant_divergence(grid: Grid, q: tuple[np.ndarray, ...],
+                         a: tuple[np.ndarray, ...]) -> np.ndarray:
+    """D_k q_k summed over k."""
+    out = np.zeros(grid.shape, dtype=complex)
+    for k in range(grid.dim):
+        out += covariant_derivative(grid, q[k], a[k], k)
+    return out
 
 
 @dataclass

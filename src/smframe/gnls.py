@@ -29,9 +29,11 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import CFLViolation, InvalidStep, SmframeError
-from .field import Grid, dealias, integrate, poisson_solve, spectral_derivative
-from .gauge import Connection, Coordinates, coulomb_fix, extract_coordinates, \
-    parallel_gauge_sweep_1d, remove_mean_connection, rotate_frame
+from .field import Grid, dealias, integrate, lawson_heun, poisson_solve, rk4, \
+    spectral_derivative
+from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
+    covariant_divergence, extract_coordinates, parallel_gauge_sweep_1d, \
+    remove_mean_connection, rotate_frame
 
 #: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
 CFL_CONSTANT = 0.5 / np.pi**2
@@ -116,19 +118,10 @@ def covariant_terms(grid: Grid, q: np.ndarray,
     dq = []
     lap = np.zeros(grid.shape, dtype=complex)
     for k in range(grid.dim):
-        cov = spectral_derivative(grid, q, k) + 1j * a[k] * q
+        cov = covariant_derivative(grid, q, a[k], k)
         dq.append(cov)
-        lap += spectral_derivative(grid, cov, k) + 1j * a[k] * cov
+        lap += covariant_derivative(grid, cov, a[k], k)
     return dq, lap
-
-
-def q0_schrodinger(grid: Grid, q: tuple[np.ndarray, ...],
-                   a: tuple[np.ndarray, ...]) -> np.ndarray:
-    """q_0 = i D_k q_k."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for k in range(grid.dim):
-        out += spectral_derivative(grid, q[k], k) + 1j * a[k] * q[k]
-    return 1j * out
 
 
 def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
@@ -149,22 +142,15 @@ class GnlsState:
     time: float
     q: tuple[np.ndarray, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.q)
-
     def connection(self) -> tuple[np.ndarray, ...]:
         return connection_from_coordinates(self.target, self.grid, self.q)
 
-    def coordinates(self) -> Coordinates:
+    def fields(self) -> tuple[Coordinates, Connection]:
+        """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0)."""
         a = self.connection()
-        return Coordinates(q=self.q, q0=q0_schrodinger(self.grid, self.q, a))
-
-    def connection_field(self) -> Connection:
-        a = self.connection()
-        q0 = q0_schrodinger(self.grid, self.q, a)
-        return Connection(a=a, a0=a0_from_q0(self.target, self.grid, self.q, q0),
-                          gauge="coulomb")
+        q0 = 1j * covariant_divergence(self.grid, self.q, a)
+        a0 = a0_from_q0(self.target, self.grid, self.q, q0)
+        return Coordinates(q=self.q, q0=q0), Connection(a=a, a0=a0, gauge="coulomb")
 
 
 def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
@@ -188,74 +174,60 @@ def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
     return state, rotate_frame(target, u, e, theta)
 
 
-def gnls_state_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
-                        e: np.ndarray, time: float = 0.0) -> GnlsState:
-    """`gnls_seed_from_map` when only the state is needed."""
-    return gnls_seed_from_map(target, grid, u, e, time)[0]
+def _stack(q) -> np.ndarray:
+    """q_l on a trailing axis, each one contiguous in memory (per-field FFTs)."""
+    return np.array(q).transpose(*range(1, q[0].ndim + 1), 0)
+
+
+def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(y[..., l] for l in range(y.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
 # Schroedinger evolution
 # ---------------------------------------------------------------------------
 
-def gnls_rhs(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
-             use_dealias: bool = True) -> tuple[np.ndarray, ...]:
-    """Right-hand side dq_l/dt of the Coulomb-gauge system."""
-    a = connection_from_coordinates(target, grid, q)
-    q0 = q0_schrodinger(grid, q, a)
-    a0 = a0_from_q0(target, grid, q, q0)
+def gnls_rhs(state: GnlsState, use_dealias: bool = True) -> np.ndarray:
+    """Right-hand side dq_l/dt of the Coulomb-gauge system, components last."""
+    target, grid, q = state.target, state.grid, state.q
+    _, conn = state.fields()
     out = []
     for l in range(grid.dim):
-        _, cov_lap = covariant_terms(grid, q[l], a)
-        rhs = -1j * a0 * q[l] + 1j * cov_lap
+        _, cov_lap = covariant_terms(grid, q[l], conn.a)
+        rhs = -1j * conn.a0 * q[l] + 1j * cov_lap
         for k in range(grid.dim):
             rhs -= geo.curvature_f(target, q[l], q[k]) * q[k]
-        out.append(dealias(grid, rhs) if use_dealias else rhs)
-    return tuple(out)
+        out.append(rhs)
+    rhs = _stack(out)
+    return dealias(grid, rhs) if use_dealias else rhs
 
 
 def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True) -> GnlsState:
     """Classical RK4 step; the connection is re-derived at every stage."""
     check_cfl(state.grid, dt)
-    tg, grid = state.target, state.grid
 
-    def f(q):
-        return gnls_rhs(tg, grid, q, use_dealias)
+    def f(s, y):
+        stage = GnlsState(state.grid, state.target, state.time, _unstack(y))
+        return gnls_rhs(stage, use_dealias)
 
-    q = state.q
-    k1 = f(q)
-    k2 = f(tuple(qi + 0.5 * dt * ki for qi, ki in zip(q, k1)))
-    k3 = f(tuple(qi + 0.5 * dt * ki for qi, ki in zip(q, k2)))
-    k4 = f(tuple(qi + dt * ki for qi, ki in zip(q, k3)))
-    qn = tuple(qi + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-               for qi, a, b, c, d in zip(q, k1, k2, k3, k4))
-    return replace(state, time=state.time + dt, q=qn)
+    qn = rk4(f, _stack(state.q), dt)
+    return replace(state, time=state.time + dt, q=_unstack(qn))
 
 
 # ---------------------------------------------------------------------------
 # Parabolic perturbation
 # ---------------------------------------------------------------------------
 
-def q0_parabolic(grid: Grid, q: tuple[np.ndarray, ...], a: tuple[np.ndarray, ...],
-                 epsilon: float) -> np.ndarray:
-    """(eps - i) q_0 = D_j q_j."""
-    mu = (epsilon + 1j) / (1.0 + epsilon**2)
-    out = np.zeros(grid.shape, dtype=complex)
-    for k in range(grid.dim):
-        out += spectral_derivative(grid, q[k], k) + 1j * a[k] * q[k]
-    return mu * out
-
-
 def _parabolic_nonlinear(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                          epsilon: float, use_dealias: bool,
-                         include_nonlinear: bool = True) -> tuple[np.ndarray, ...]:
-    """All terms except the exact linear factor mu * Delta."""
+                         include_nonlinear: bool = True) -> np.ndarray:
+    """All terms except the exact linear factor mu * Delta, stacked."""
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
     out = []
     if not include_nonlinear:
-        return tuple(np.zeros(grid.shape, dtype=complex) for _ in range(grid.dim))
+        return np.zeros(grid.shape + (grid.dim,), dtype=complex)
     a = connection_from_coordinates(target, grid, q)
-    q0 = q0_parabolic(grid, q, a, epsilon)
+    q0 = mu * covariant_divergence(grid, q, a)  # (eps - i) q_0 = D_j q_j
     rhs_a0 = np.zeros(grid.shape)
     for l in range(grid.dim):
         rhs_a0 += spectral_derivative(grid, np.real(q[l] * np.conj(q0)), l)
@@ -269,9 +241,9 @@ def _parabolic_nonlinear(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ..
         cubic = np.zeros(grid.shape, dtype=complex)
         for k in range(grid.dim):
             cubic += 1j * geo.curvature_f(target, q[l], q[k]) * q[k]
-        rhs = -1j * a0 * q[l] + mu * (gauge_terms + cubic)
-        out.append(dealias(grid, rhs) if use_dealias else rhs)
-    return tuple(out)
+        out.append(-1j * a0 * q[l] + mu * (gauge_terms + cubic))
+    rhs = _stack(out)
+    return dealias(grid, rhs) if use_dealias else rhs
 
 
 def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float,
@@ -291,24 +263,13 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float,
         raise InvalidStep(f"epsilon must lie in (0, 1], got {epsilon}")
     tg, grid = state.target, state.grid
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
-    propagator = np.exp(-mu * grid.k_squared * dt)
 
-    def apply_linear(qc):
-        return tuple(
-            np.fft.ifftn(np.fft.fftn(qi, axes=tuple(range(grid.dim))) * propagator,
-                         axes=tuple(range(grid.dim)))
-            for qi in qc)
-
-    def nonlinear(qc):
-        return _parabolic_nonlinear(tg, grid, qc, epsilon, use_dealias,
+    def nonlinear(y):
+        return _parabolic_nonlinear(tg, grid, _unstack(y), epsilon, use_dealias,
                                     include_nonlinear)
 
     q = state.q
-    n0 = nonlinear(q)
-    predictor = apply_linear(tuple(qi + dt * ni for qi, ni in zip(q, n0)))
-    n1 = nonlinear(predictor)
-    linear_part = apply_linear(tuple(qi + 0.5 * dt * ni for qi, ni in zip(q, n0)))
-    qn = tuple(lp + 0.5 * dt * ni for lp, ni in zip(linear_part, n1))
+    qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))
 
     if tg.kind == "hyperbolic":
         e_old = sum(integrate(grid, np.abs(qi) ** 2) for qi in q)

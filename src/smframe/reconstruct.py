@@ -25,9 +25,9 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidStep
-from .field import Grid, fractional_shift, spectral_derivative
+from .field import Grid, fractional_shift, rk4, spectral_derivative
 from .gauge import Connection, Coordinates
-from .gnls import GnlsState, a0_from_q0, gnls_step, nls1d_step, q0_schrodinger
+from .gnls import GnlsState, gnls_step, nls1d_step
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,25 @@ class MapFrameState:
     periodicity_defect: float = 0.0
 
 
-def _ode_rhs(target: geo.Target, u: np.ndarray, e: np.ndarray,
-             q, a) -> tuple[np.ndarray, np.ndarray]:
-    q = np.asarray(q)
-    a = np.asarray(a)
-    je = geo.j_apply(target, u, e)
-    du = q.real[..., np.newaxis] * e + q.imag[..., np.newaxis] * je
-    de = a[..., np.newaxis] * je - target.kappa * q.real[..., np.newaxis] * u
-    return du, de
+def _rk4_transport(target: geo.Target, y: np.ndarray, h: float, samples) -> np.ndarray:
+    """One RK4 step of the (u, e) ODE, y = (u, e) stacked on axis 0, with
+    (q, a) `samples` at the step's start, midpoint and end; then retraction
+    and re-orthonormalization."""
+    coef = {s: (q.real[..., np.newaxis], q.imag[..., np.newaxis], a[..., np.newaxis])
+            for s, (q, a) in zip((0.0, 0.5, 1.0), samples)}
 
+    def f(s, y):
+        qr, qi, a = coef[s]
+        je = geo.j_apply(target, y[0], y[1])
+        out = np.empty_like(y)
+        out[0] = qr * y[1] + qi * je
+        out[1] = a * je - target.kappa * qr * y[0]
+        return out
 
-def _rk4_transport(target: geo.Target, u, e, h: float,
-                   q0, a0, qh, ah, q1, a1) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of the coupled (u, e) ODE with endpoint/midpoint samples,
-    followed by retraction and re-orthonormalization."""
-    k1u, k1e = _ode_rhs(target, u, e, q0, a0)
-    k2u, k2e = _ode_rhs(target, u + 0.5 * h * k1u, e + 0.5 * h * k1e, qh, ah)
-    k3u, k3e = _ode_rhs(target, u + 0.5 * h * k2u, e + 0.5 * h * k2e, qh, ah)
-    k4u, k4e = _ode_rhs(target, u + h * k3u, e + h * k3e, q1, a1)
-    un = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-    en = e + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-    un = geo.retract(target, un)
-    return un, geo.orthonormalize_frame(target, un, en)
+    y = rk4(f, y, h)
+    y[0] = geo.retract(target, y[0])
+    y[1] = geo.orthonormalize_frame(target, y[0], y[1])
+    return y
 
 
 #: RK4 substeps per grid interval in the spatial sweep; the coefficients
@@ -106,42 +103,36 @@ def _sweep_line(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
     n = qs.shape[-1]
     hs = h / n_sub
     batch = np.broadcast_shapes(np.asarray(u0).shape[:-1], qs.shape[1:-1])
-    U = np.zeros((n,) + batch + (3,))
-    E = np.zeros_like(U)
-    U[center] = geo.retract(target, np.broadcast_to(u0, batch + (3,)))
-    E[center] = geo.orthonormalize_frame(target, U[center], np.broadcast_to(e0, batch + (3,)))
+    Y = np.zeros((n, 2) + batch + (3,))  # (u, e) stacked on axis 1
+    Y[center, 0] = geo.retract(target, np.broadcast_to(u0, batch + (3,)))
+    Y[center, 1] = geo.orthonormalize_frame(target, Y[center, 0],
+                                            np.broadcast_to(e0, batch + (3,)))
 
-    def node_step(u, e, j, forward: bool):
+    def node_step(y, j, forward: bool):
         col = j % n
         for i in range(n_sub):
-            if forward:
-                t0, t1, t2 = 2 * i, 2 * i + 1, 2 * i + 2
-                step = hs
-            else:
-                t0, t1, t2 = 2 * n_sub - 2 * i, 2 * n_sub - 2 * i - 1, 2 * n_sub - 2 * i - 2
-                step = -hs
-            u, e = _rk4_transport(target, u, e, step,
-                                  qs[t0][..., col], as_[t0][..., col],
-                                  qs[t1][..., col], as_[t1][..., col],
-                                  qs[t2][..., col], as_[t2][..., col])
-        return u, e
+            ts = (2 * i, 2 * i + 1, 2 * i + 2)
+            if not forward:
+                ts = tuple(2 * n_sub - t for t in ts)
+            y = _rk4_transport(target, y, hs if forward else -hs,
+                               [(qs[t][..., col], as_[t][..., col]) for t in ts])
+        return y
 
     # rightward: nodes center .. center + n/2
-    u, e = U[center], E[center]
+    y = Y[center]
     for j in range(center, center + n // 2):
-        u, e = node_step(u, e, j, forward=True)
-        U[(j + 1) % n], E[(j + 1) % n] = u, e
-    wrap_u, wrap_e = u, e
+        y = node_step(y, j, forward=True)
+        Y[(j + 1) % n] = y
+    wrap = y
 
     # leftward: nodes center .. center - n/2 + 1, plus one probe step to the seam
-    u, e = U[center], E[center]
+    y = Y[center]
     for j in range(center, center - n // 2, -1):
-        u, e = node_step(u, e, j - 1, forward=False)
+        y = node_step(y, j - 1, forward=False)
         if j > center - n // 2 + 1:
-            U[(j - 1) % n], E[(j - 1) % n] = u, e
-    defect = float(np.max(np.linalg.norm(u - wrap_u, axis=-1)
-                          + np.linalg.norm(e - wrap_e, axis=-1)))
-    return U, E, defect
+            Y[(j - 1) % n] = y
+    defect = float(np.max(np.linalg.norm(y - wrap, axis=-1).sum(axis=0)))
+    return Y[:, 0], Y[:, 1], defect
 
 
 def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
@@ -189,8 +180,8 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
     """
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
-    (q0a, a0a), (q0b, a0b), (q0c, a0c) = stages
-    return _rk4_transport(target, u, e, dt, q0a, a0a, q0b, a0b, q0c, a0c)
+    y = _rk4_transport(target, np.stack([u, e]), dt, stages)
+    return y[0], y[1]
 
 
 class TrajectoryProvider(Protocol):
@@ -240,7 +231,6 @@ class GnlsTrajectory:
 
     state: GnlsState
     dt: float
-    use_dealias: bool = True
 
     @property
     def grid(self) -> Grid:
@@ -250,22 +240,16 @@ class GnlsTrajectory:
     def target(self) -> geo.Target:
         return self.state.target
 
-    def _fields(self, state: GnlsState) -> tuple[np.ndarray, np.ndarray]:
-        a = state.connection()
-        q0 = q0_schrodinger(state.grid, state.q, a)
-        a0 = a0_from_q0(state.target, state.grid, state.q, q0)
-        return q0, a0
-
     def initial_coordinates(self) -> tuple[Coordinates, Connection]:
         return (Coordinates(q=self.state.q),
                 Connection(a=self.state.connection(), gauge="coulomb"))
 
     def advance(self):
         s0 = self.state
-        s_mid = gnls_step(s0, self.dt / 2.0, self.use_dealias)
-        s_end = gnls_step(s_mid, self.dt / 2.0, self.use_dealias)
-        self.state = s_end
-        return [self._fields(s0), self._fields(s_mid), self._fields(s_end)]
+        s_mid = gnls_step(s0, self.dt / 2.0)
+        self.state = gnls_step(s_mid, self.dt / 2.0)
+        fields = [s.fields() for s in (s0, s_mid, self.state)]
+        return [(coords.q0, conn.a0) for coords, conn in fields]
 
 
 def reconstruct_trajectory(provider: TrajectoryProvider, base: BasePointData,

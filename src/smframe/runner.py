@@ -7,6 +7,7 @@ snapshot cadence, writes state snapshots, and leaves a JSON manifest
 
 from __future__ import annotations
 
+import inspect
 import json
 import time as _time
 from pathlib import Path
@@ -21,7 +22,7 @@ from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
                      parabolic_sm_step)
 from .errors import ConfigError
 from .gauge import best_reference_frame, compatibility_residual
-from .geometry import SPHERE
+from .geometry import SPHERE, constraint_defect
 from .reconstruct import (BasePointData, GnlsTrajectory, Nls1dTrajectory,
                           reconstruct_trajectory, sm_residual)
 from .snapshot import read_snapshot, write_snapshot
@@ -39,43 +40,70 @@ MAP_PRESETS = {
 }
 
 
-def _preset_kwargs(cfg: RunConfig) -> dict:
-    kwargs = dict(cfg.preset_params)
-    if cfg.preset == "random-bandlimited":
-        kwargs.setdefault("seed", cfg.seed)
-        if "kmax" in kwargs:
-            kwargs["kmax"] = int(kwargs["kmax"])
-        if "seed" in kwargs:
-            kwargs["seed"] = int(kwargs["seed"])
+#: (experiment, target kind) -> solver step; parabolic steps also take epsilon
+STEPPERS = {
+    ("gnls", "sphere"): gnls.gnls_step,
+    ("gnls", "hyperbolic"): gnls.gnls_step,
+    ("parabolic-gnls", "sphere"): gnls.parabolic_gnls_step,
+    ("parabolic-gnls", "hyperbolic"): gnls.parabolic_gnls_step,
+    ("direct-sm", "sphere"): heisenberg_step,
+    ("direct-sm", "hyperbolic"): hyperbolic_sm_step,
+    ("parabolic-sm", "hyperbolic"): parabolic_sm_step,
+    ("roundtrip", "sphere"): heisenberg_step,
+    ("roundtrip", "hyperbolic"): hyperbolic_sm_step,
+}
+
+
+def _stepper(cfg: RunConfig):
+    """state -> state after one step of dt, as the config selects."""
+    step = STEPPERS.get((cfg.experiment, cfg.target.kind))
+    if step is None:
+        raise ConfigError("run.target",
+                          f"{cfg.experiment} has no {cfg.target.kind} solver")
+    args = (cfg.dt,) if cfg.epsilon is None else (cfg.dt, cfg.epsilon)
+    return lambda state: step(state, *args)
+
+
+def _preset_kwargs(cfg: RunConfig, preset) -> dict:
+    """[initial] parameters checked against the preset's signature; integer
+    parameters take integral values, and `seed` defaults to the run seed."""
+    params = inspect.signature(preset).parameters
+    kwargs = {"seed": cfg.seed} if "seed" in params else {}
+    for key, value in cfg.preset_params.items():
+        if key == "grid" or key not in params:
+            raise ConfigError(f"initial.{key}",
+                              f"preset {cfg.preset!r} has no parameter {key!r}")
+        if type(params[key].default) is int:
+            if not value.is_integer():
+                raise ConfigError(f"initial.{key}", f"must be an integer, got {value}")
+            value = int(value)
+        kwargs[key] = value
     return kwargs
+
+
+def _initial(cfg: RunConfig, table: dict, kind: str, name: str) -> np.ndarray:
+    if cfg.snapshot_path:
+        return read_snapshot(cfg.snapshot_path).fields[name]
+    if cfg.preset not in table:
+        raise ConfigError("initial.preset",
+                          f"{cfg.preset!r} is not a {kind} preset "
+                          f"(expected one of {', '.join(table)})")
+    preset = table[cfg.preset]
+    return preset(cfg.grid, **_preset_kwargs(cfg, preset))
 
 
 def initial_field(cfg: RunConfig) -> np.ndarray:
     """Complex coordinate seed for nls1d-style runs."""
-    if cfg.snapshot_path:
-        snap = read_snapshot(cfg.snapshot_path)
-        return snap.fields["q"]
-    if cfg.preset not in FIELD_PRESETS:
-        raise ConfigError("initial.preset",
-                          f"{cfg.preset!r} is not a field preset "
-                          f"(expected one of {', '.join(FIELD_PRESETS)})")
-    return FIELD_PRESETS[cfg.preset](cfg.grid, **_preset_kwargs(cfg))
+    return _initial(cfg, FIELD_PRESETS, "field", "q")
 
 
 def initial_map(cfg: RunConfig) -> np.ndarray:
     """Ambient map seed for map-side and gauge-extraction runs."""
-    if cfg.snapshot_path:
-        snap = read_snapshot(cfg.snapshot_path)
-        return snap.fields["u"]
-    if cfg.preset not in MAP_PRESETS:
-        raise ConfigError("initial.preset",
-                          f"{cfg.preset!r} is not a map preset "
-                          f"(expected one of {', '.join(MAP_PRESETS)})")
-    return MAP_PRESETS[cfg.preset](cfg.grid, **_preset_kwargs(cfg))
+    return _initial(cfg, MAP_PRESETS, "map", "u")
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, config_text: str,
-                    wall_time: float, extra: dict | None = None) -> None:
+                    wall_time: float) -> None:
     manifest = {
         "run_id": cfg.run_id,
         "experiment": cfg.experiment,
@@ -83,10 +111,13 @@ def _write_manifest(outdir: Path, cfg: RunConfig, config_text: str,
         "wall_time_seconds": wall_time,
         "config": config_text,
     }
-    if extra:
-        manifest.update(extra)
     with open(outdir / f"{cfg.run_id}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
+
+
+def _write_final(cfg: RunConfig, outdir: Path, time: float, fields: dict) -> None:
+    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
+                   time, fields)
 
 
 def _run_nls1d(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
@@ -99,55 +130,53 @@ def _run_nls1d(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
                 time=step * cfg.dt,
                 mass=gnls.nls1d_mass(cfg.grid, q),
                 energy=gnls.nls1d_energy(cfg.grid, q, kappa)))
-    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
-                   cfg.n_steps * cfg.dt, {"q": q})
+    _write_final(cfg, outdir, cfg.n_steps * cfg.dt, {"q": q})
+
+
+def _seed_gnls(cfg: RunConfig, u: np.ndarray) -> tuple[gnls.GnlsState, np.ndarray]:
+    """Coulomb-gauge state of the map u and its frame rotated into that gauge."""
+    e = best_reference_frame(cfg.target, u)
+    return gnls.gnls_seed_from_map(cfg.target, cfg.grid, u, e)
 
 
 def _run_gnls(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
-    u = initial_map(cfg)
-    e = best_reference_frame(cfg.target, u)
-    state = gnls.gnls_state_from_map(cfg.target, cfg.grid, u, e)
-    parabolic = cfg.experiment == "parabolic-gnls"
+    advance = _stepper(cfg)
+    state, _ = _seed_gnls(cfg, initial_map(cfg))
     for step in range(1, cfg.n_steps + 1):
-        if parabolic:
-            state = gnls.parabolic_gnls_step(state, cfg.dt, cfg.epsilon)
-        else:
-            state = gnls.gnls_step(state, cfg.dt)
+        state = advance(state)
         if step % cfg.snapshot_every == 0:
-            compat = compatibility_residual(cfg.target, cfg.grid,
-                                            state.coordinates(),
-                                            state.connection_field())
+            compat = compatibility_residual(cfg.target, cfg.grid, *state.fields())
             log.append(diag.DiagnosticsRow(
                 time=state.time, mass=gnls.gnls_mass(state),
                 residual_compat=compat.as_tuple()))
-    fields = {f"q{l + 1}": qi for l, qi in enumerate(state.q)}
-    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
-                   state.time, fields)
+    _write_final(cfg, outdir, state.time,
+                 {f"q{l + 1}": qi for l, qi in enumerate(state.q)})
 
 
-def _map_row(state: MapState, **kwargs) -> diag.DiagnosticsRow:
+def _map_row(state: MapState) -> diag.DiagnosticsRow:
     return diag.DiagnosticsRow(
         time=state.time,
         energy=diag.energy_map(state),
         moment=tuple(map_moment(state)),
         killing=tuple(diag.killing_functionals(state)),
-        constraint_max=state.constraint_max(),
-        **kwargs)
+        constraint_max=state.constraint_max())
 
 
-def _run_direct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
+def _run_direct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog,
+                keep_states: bool = False) -> list[MapState]:
+    """Step the map flow; returns the initial state, followed by every
+    logged state when `keep_states` is set."""
+    advance = _stepper(cfg)
     state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=initial_map(cfg))
+    kept = [state]
     for step in range(1, cfg.n_steps + 1):
-        if cfg.experiment == "parabolic-sm":
-            state = parabolic_sm_step(state, cfg.dt, cfg.epsilon)
-        elif cfg.target.kind == "sphere":
-            state = heisenberg_step(state, cfg.dt)
-        else:
-            state = hyperbolic_sm_step(state, cfg.dt)
+        state = advance(state)
         if step % cfg.snapshot_every == 0:
             log.append(_map_row(state))
-    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
-                   state.time, {"u": state.u})
+            if keep_states:
+                kept.append(state)
+    _write_final(cfg, outdir, state.time, {"u": state.u})
+    return kept
 
 
 def _make_provider(cfg: RunConfig):
@@ -156,20 +185,14 @@ def _make_provider(cfg: RunConfig):
             raise ConfigError("initial.preset",
                               "field presets reconstruct 1D sphere maps only")
         return Nls1dTrajectory(grid=cfg.grid, q=initial_field(cfg), dt=cfg.dt)
-    u = initial_map(cfg)
-    e = best_reference_frame(cfg.target, u)
-    state = gnls.gnls_state_from_map(cfg.target, cfg.grid, u, e)
+    state, _ = _seed_gnls(cfg, initial_map(cfg))
     return GnlsTrajectory(state=state, dt=cfg.dt)
-
-
-def _base(cfg: RunConfig) -> BasePointData:
-    return BasePointData(m=cfg.base_m, v0=cfg.base_v0)
 
 
 def _run_reconstruct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
     provider = _make_provider(cfg)
-    states = reconstruct_trajectory(provider, _base(cfg), cfg.n_steps,
-                                    cfg.snapshot_every)
+    base = BasePointData(m=cfg.base_m, v0=cfg.base_v0)
+    states = reconstruct_trajectory(provider, base, cfg.n_steps, cfg.snapshot_every)
     gap_dt = cfg.dt * cfg.snapshot_every
     for i, st in enumerate(states):
         if i == 0:
@@ -180,31 +203,17 @@ def _run_reconstruct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> 
                               (states[i - 1], st, states[i + 1]), gap_dt)
         log.append(diag.DiagnosticsRow(
             time=st.time, residual_sm=res,
-            constraint_max=float(np.max(np.abs(
-                np.sum(st.u * st.u * cfg.target.metric_diag, axis=-1)
-                - cfg.target.kappa))),
+            constraint_max=float(np.max(np.abs(constraint_defect(cfg.target, st.u)))),
             periodicity_defect=states[0].periodicity_defect))
     last = states[-1]
-    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
-                   last.time, {"u": last.u, "e": last.e})
+    _write_final(cfg, outdir, last.time, {"u": last.u, "e": last.e})
 
 
 def _run_roundtrip(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
     """Direct map flow vs gauge-side evolution + reconstruction of one seed."""
-    u0 = initial_map(cfg)
-    direct_states = [MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=u0)]
-    state = direct_states[0]
-    for step in range(1, cfg.n_steps + 1):
-        if cfg.target.kind == "sphere":
-            state = heisenberg_step(state, cfg.dt)
-        else:
-            state = hyperbolic_sm_step(state, cfg.dt)
-        if step % cfg.snapshot_every == 0:
-            direct_states.append(state)
-            log.append(_map_row(state))
-
-    e0 = best_reference_frame(cfg.target, u0)
-    gstate, e_fixed = gnls.gnls_seed_from_map(cfg.target, cfg.grid, u0, e0)
+    direct_states = _run_direct(cfg, outdir, log, keep_states=True)
+    u0 = direct_states[0].u
+    gstate, e_fixed = _seed_gnls(cfg, u0)
     provider = GnlsTrajectory(state=gstate, dt=cfg.dt)
     center = cfg.grid.center_index
     base = BasePointData(m=u0[center], v0=e_fixed[center])
@@ -231,34 +240,28 @@ _RUNNERS = {
 }
 
 
-def execute(cfg: RunConfig, config_text: str, output_override: str | None = None,
-            threads: int | None = None) -> Path:
+def execute(cfg: RunConfig, config_text: str,
+            output_override: str | None = None) -> Path:
     """Run one configured experiment; returns the output directory."""
     outdir = Path(output_override or cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     log = diag.DiagnosticsLog(outdir, cfg.run_id)
     start = _time.perf_counter()
     _RUNNERS[cfg.experiment](cfg, outdir, log)
-    _write_manifest(outdir, cfg, config_text, _time.perf_counter() - start,
-                    extra={"threads": threads})
+    _write_manifest(outdir, cfg, config_text, _time.perf_counter() - start)
     return outdir
 
 
 def diagnose_snapshot(path) -> diag.DiagnosticsRow:
     """Recompute every functional a snapshot supports from its fields alone."""
     snap = read_snapshot(path)
-    kwargs: dict = {}
+    row = diag.DiagnosticsRow(time=snap.time)
     if "u" in snap.fields:
-        state = MapState(grid=snap.grid, target=snap.target, time=snap.time,
-                         u=snap.fields["u"])
-        kwargs.update(energy=diag.energy_map(state),
-                      moment=tuple(map_moment(state)),
-                      killing=tuple(diag.killing_functionals(state)),
-                      constraint_max=state.constraint_max())
+        row = _map_row(MapState(grid=snap.grid, target=snap.target, time=snap.time,
+                                u=snap.fields["u"]))
     qnames = sorted(name for name in snap.fields if name in ("q", "q1", "q2"))
     if qnames:
-        from .field import integrate
-        total = sum(integrate(snap.grid, np.abs(snap.fields[n]) ** 2)
-                    for n in qnames)
-        kwargs["mass"] = 0.5 * total
-    return diag.DiagnosticsRow(time=snap.time, **kwargs)
+        row.mass = gnls.gnls_mass(gnls.GnlsState(
+            grid=snap.grid, target=snap.target, time=snap.time,
+            q=tuple(snap.fields[n] for n in qnames)))
+    return row

@@ -11,6 +11,8 @@ point), 2 three-vector (components contiguous per point).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -99,7 +101,8 @@ def read_snapshot(path) -> Snapshot:
             grid = Grid(n, length)
         except ValueError as exc:
             raise FormatError(str(exc), 10) from exc
-        npoints = int(np.prod(n))
+        npoints = math.prod(n)
+        size = os.fstat(fh.fileno()).st_size
 
         fields: dict[str, np.ndarray] = {}
         while True:
@@ -114,6 +117,10 @@ def read_snapshot(path) -> Snapshot:
             per_point = {0: 1, 1: 2, 2: 3}.get(kind)
             if per_point is None:
                 raise FormatError(f"unknown element kind {kind}", fh.tell() - 1)
+            need, left = 8 * per_point * npoints, size - fh.tell()
+            if need > left:
+                raise FormatError(f"grid sizes {n} need {need} bytes for '{name}', "
+                                  f"the file holds {left} more", 10)
             raw = _read_exact(fh, 8 * per_point * npoints, f"payload of '{name}'")
             flat = np.frombuffer(raw, dtype="<f8")
             if kind == 0:

@@ -22,7 +22,7 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            exponential_gauge_curl_residual,
                            extract_coordinates, gauge_transform, rotate_frame)
 from smframe.gnls import (GnlsState, gnls_dissipation, gnls_mass,
-                          gnls_state_from_map, gnls_step, nls1d_mass,
+                          gnls_seed_from_map, gnls_step, nls1d_mass,
                           nls1d_step, parabolic_gnls_step)
 from smframe.reconstruct import (BasePointData, Nls1dTrajectory,
                                  initial_data_sweep, reconstruct_trajectory,
@@ -106,7 +106,7 @@ def test_criterion_03_roundtrip_identity():
 def test_criterion_04_compatibility_persistence():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    state = gnls_state_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))
+    state = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
 
     def compat(st):
         return compatibility_residual(

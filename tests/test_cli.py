@@ -75,7 +75,6 @@ def test_run_produces_outputs(tmp_path, capsys):
     manifest = json.loads((tmp_path / "demo.manifest.json").read_text())
     assert manifest["run_id"] == "demo"
     assert manifest["experiment"] == "nls1d"
-    assert manifest["threads"] == 1
     assert manifest["version"] == smframe.__version__
     assert "[run]" in manifest["config"]
 
@@ -136,6 +135,10 @@ def test_roundtrip_subcommand(tmp_path):
     assert len(report["times"]) == len(report["geodesic_gap"]) == 3
     assert report["max_gap"] < 1e-8
     assert report["periodicity_defect"] < 1e-8
+    snap = read_snapshot(tmp_path / "loop.final.smfs")
+    assert snap.time == pytest.approx(1e-3)
+    assert snap.fields["u"].shape == (64, 3)
+    assert np.max(np.abs(np.sum(snap.fields["u"] ** 2, axis=-1) - 1.0)) < 1e-12
 
 
 def test_roundtrip_rejects_other_experiments(tmp_path, capsys):
@@ -144,15 +147,19 @@ def test_roundtrip_rejects_other_experiments(tmp_path, capsys):
     assert "roundtrip" in capsys.readouterr().err
 
 
-def test_threads_resolution(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path, NLS1D_CFG)
-    assert main(["run", cfg, "--output", str(tmp_path), "--threads", "0"]) == 2
-
-    monkeypatch.setenv("SMFRAME_THREADS", "two")
+def test_unknown_preset_parameter_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, NLS1D_CFG.replace("b = 2.0", "c = 1.0"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
-    assert "SMFRAME_THREADS" in capsys.readouterr().err
+    assert "initial.c" in capsys.readouterr().err
 
-    monkeypatch.setenv("SMFRAME_THREADS", "2")
+
+def test_integer_preset_parameter_is_cast(tmp_path):
+    cfg = _write(tmp_path, ROUNDTRIP_CFG.replace(
+        "preset = great-circle", "preset = perturbed-great-circle\nseed = 3"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "demo.manifest.json").read_text())
-    assert manifest["threads"] == 2
+
+
+def test_t_end_must_be_whole_steps(tmp_path, capsys):
+    cfg = _write(tmp_path, NLS1D_CFG.replace("t_end = 0.01", "t_end = 0.0105"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "run.t_end" in capsys.readouterr().err

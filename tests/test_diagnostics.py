@@ -13,7 +13,7 @@ from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
 from smframe.direct import MapState
 from smframe.errors import CadenceMismatch, NegativeEnergy
 from smframe.field import Grid, integrate
-from smframe.gnls import gnls_mass, gnls_state_from_map
+from smframe.gnls import gnls_mass, gnls_seed_from_map
 from smframe.gauge import best_reference_frame
 
 
@@ -43,7 +43,7 @@ def test_energy_map_values():
 def test_energy_map_matches_gauge_mass():
     g = Grid((64, 64), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
-    st = gnls_state_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))
+    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
     energy = energy_map(_state(geo.SPHERE, g, u))
     assert abs(energy - 2.0 * gnls_mass(st)) < 1e-10
 

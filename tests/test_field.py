@@ -1,11 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from smframe import geometry as geo
 from smframe.errors import FormatError, NonZeroMean
-from smframe.field import (Grid, dealias, fractional_shift, half_shift,
-                           integrate, laplacian, poisson_solve, sample_line,
-                           spectral_derivative)
+from smframe.field import (Grid, dealias, fractional_shift, integrate,
+                           laplacian, poisson_solve, rk4, spectral_derivative)
 from smframe.snapshot import read_snapshot, write_snapshot
 
 
@@ -86,17 +87,27 @@ def test_fractional_shift_is_exact_on_bandlimited_data():
         shifted = fractional_shift(g, f, 0, frac)
         expect = np.sin(5 * (x + frac * h)) + 0.3 * np.cos(2 * (x + frac * h))
         assert np.max(np.abs(shifted - expect)) < 1e-12
-    assert np.allclose(half_shift(g, f, 0), fractional_shift(g, f, 0, 0.5))
     # frac = 1 is a plain circular roll
     assert np.max(np.abs(fractional_shift(g, f, 0, 1.0) - np.roll(f, -1))) < 1e-12
 
 
-def test_sample_line():
-    g = Grid((16, 32), (1.0, 1.0))
-    f = np.arange(16 * 32).reshape(16, 32)
-    line = sample_line(f, 0, {1: 5})
-    assert line.shape == (16,)
-    assert np.all(line == f[:, 5])
+def test_rk4_matches_taylor_factor_on_linear_ode():
+    lam = -0.7 + 2.3j
+    h = 0.1
+    y = np.array([[1.0, -2.0], [0.5j, 3.0 - 1.0j]])
+    z = lam * h
+    factor = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    out = rk4(lambda s, v: lam * v, y, h)
+    assert np.max(np.abs(out - factor * y)) < 1e-14
+
+
+def test_rk4_passes_stage_times():
+    # RK4 reduces to Simpson's rule when f depends on t alone, and Simpson
+    # integrates dy/dt = 4 t^3 exactly: y(h) = h^4.  A power-of-two h keeps
+    # every stage value exact in floating point.
+    h = 0.5
+    out = rk4(lambda s, v: np.full_like(v, 4.0 * (s * h) ** 3), np.zeros(2), h)
+    assert np.all(out == h**4)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -134,3 +145,15 @@ def test_snapshot_truncation_reports_offset(tmp_path):
     with pytest.raises(FormatError) as err:
         read_snapshot(path)
     assert err.value.offset > 0
+
+
+def test_snapshot_oversized_grid_is_format_error(tmp_path):
+    # 2^32 x 2^32 points overflow a fixed-width product to zero
+    path = tmp_path / "huge.smfs"
+    header = (b"SMFS" + struct.pack("<IBB", 1, 0, 2) + struct.pack("<2Q", 2**32, 2**32)
+              + struct.pack("<3d", 1.0, 1.0, 0.0))
+    block = struct.pack("<H", 1) + b"f" + struct.pack("<B", 0) + b"\0" * 64
+    path.write_bytes(header + block)
+    with pytest.raises(FormatError) as err:
+        read_snapshot(path)
+    assert err.value.offset == 10

@@ -8,7 +8,7 @@ from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
 from smframe.field import Grid, integrate, spectral_derivative
 from smframe.gnls import (GnlsState, check_cfl, connection_from_coordinates,
-                          gnls_dissipation, gnls_mass, gnls_state_from_map,
+                          gnls_dissipation, gnls_mass, gnls_seed_from_map,
                           gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
 from smframe.gauge import best_reference_frame, compatibility_residual
@@ -67,7 +67,7 @@ def test_connection_is_zero_in_1d():
 def test_connection_solves_curl_equation_2d():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    st = gnls_state_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))
+    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
     a = st.connection()
     f12 = geo.curvature_f(geo.SPHERE, st.q[0], st.q[1])
     curl = spectral_derivative(g, a[1], 0) - spectral_derivative(g, a[0], 1)
@@ -94,7 +94,7 @@ def test_gnls_1d_matches_scalar_nls():
 def test_gnls_conserves_mass_2d():
     g = Grid((64, 64), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
-    st = gnls_state_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))
+    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
     m0 = gnls_mass(st)
     for _ in range(20):
         st = gnls_step(st, 5e-5)
@@ -145,9 +145,8 @@ def test_parabolic_step_validates_arguments():
 def test_seeding_from_map_is_compatible():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    st = gnls_state_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))
-    rep = compatibility_residual(geo.SPHERE, g, st.coordinates(),
-                                 st.connection_field())
+    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    rep = compatibility_residual(geo.SPHERE, g, *st.fields())
     assert rep.max() < 1e-9
     # mass of the coordinates equals the map's Dirichlet energy (halved)
     energy = 0.0
