@@ -73,6 +73,12 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n[axis], d=self.spacing[axis])
 
     @cached_property
+    def odd_wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Per-axis wavenumbers with the Nyquist mode zeroed (odd operators)."""
+        return tuple(np.where(np.arange(n) == n // 2, 0.0, self.wavenumber(axis))
+                     for axis, n in enumerate(self.n))
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 broadcast to full grid shape."""
         out = np.zeros(self.shape)
@@ -93,8 +99,7 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Fourier collocation d/dx_axis; the Nyquist mode of the derivative is zeroed."""
     f = np.asarray(f)
     extra = f.ndim - grid.dim
-    k = grid.wavenumber(axis).copy()
-    k[grid.n[axis] // 2] = 0.0  # odd operator has no consistent Nyquist mode
+    k = grid.odd_wavenumbers[axis]  # odd operator has no consistent Nyquist mode
     fh = np.fft.fft(f, axis=axis)
     dfh = 1j * _bcast(grid, axis, k, extra) * fh
     df = np.fft.ifft(dfh, axis=axis)
@@ -166,8 +171,7 @@ def fractional_shift(grid: Grid, f: np.ndarray, axis: int,
     """
     f = np.asarray(f)
     extra = f.ndim - grid.dim
-    k = grid.wavenumber(axis).copy()
-    k[grid.n[axis] // 2] = 0.0
+    k = grid.odd_wavenumbers[axis]
     phase = np.exp(1j * k * grid.spacing[axis] * frac).astype(complex)
     phase[grid.n[axis] // 2] = np.cos(np.pi * frac)
     fh = np.fft.fft(f, axis=axis) * _bcast(grid, axis, phase, extra)

@@ -198,8 +198,7 @@ def gnls_rhs(state: GnlsState, use_dealias: bool = True) -> np.ndarray:
         for k in range(grid.dim):
             rhs -= geo.curvature_f(target, q[l], q[k]) * q[k]
         out.append(rhs)
-    rhs = _stack(out)
-    return dealias(grid, rhs) if use_dealias else rhs
+    return _stack([dealias(grid, r) for r in out] if use_dealias else out)
 
 
 def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True) -> GnlsState:
@@ -242,8 +241,7 @@ def _parabolic_nonlinear(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ..
         for k in range(grid.dim):
             cubic += 1j * geo.curvature_f(target, q[l], q[k]) * q[k]
         out.append(-1j * a0 * q[l] + mu * (gauge_terms + cubic))
-    rhs = _stack(out)
-    return dealias(grid, rhs) if use_dealias else rhs
+    return _stack([dealias(grid, r) for r in out] if use_dealias else out)
 
 
 def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float,

@@ -217,12 +217,10 @@ class Nls1dTrajectory:
                 Connection(a=(np.zeros(self.grid.shape),), gauge="parallel-1d"))
 
     def advance(self):
-        kappa = self.target.kappa
-        q_t = self.q
+        q_t, kappa = self.q, self.target.kappa
         q_mid = nls1d_step(self.grid, q_t, self.dt / 2.0, kappa)
-        q_end = nls1d_step(self.grid, q_mid, self.dt / 2.0, kappa)
-        self.q = q_end
-        return [self._fields(q_t), self._fields(q_mid), self._fields(q_end)]
+        self.q = nls1d_step(self.grid, q_mid, self.dt / 2.0, kappa)
+        return [self._fields(q) for q in (q_t, q_mid, self.q)]
 
 
 @dataclass

@@ -67,13 +67,14 @@ def _stepper(cfg: RunConfig):
 def _preset_kwargs(cfg: RunConfig, preset) -> dict:
     """[initial] parameters checked against the preset's signature; integer
     parameters take integral values, and `seed` defaults to the run seed."""
-    params = inspect.signature(preset).parameters
+    params = inspect.signature(preset, eval_str=True).parameters
     kwargs = {"seed": cfg.seed} if "seed" in params else {}
     for key, value in cfg.preset_params.items():
         if key == "grid" or key not in params:
             raise ConfigError(f"initial.{key}",
                               f"preset {cfg.preset!r} has no parameter {key!r}")
-        if type(params[key].default) is int:
+        hint = params[key].annotation  # int or int | None
+        if int in (hint, *getattr(hint, "__args__", ())):
             if not value.is_integer():
                 raise ConfigError(f"initial.{key}", f"must be an integer, got {value}")
             value = int(value)
@@ -163,20 +164,19 @@ def _map_row(state: MapState) -> diag.DiagnosticsRow:
 
 
 def _run_direct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog,
-                keep_states: bool = False) -> list[MapState]:
-    """Step the map flow; returns the initial state, followed by every
-    logged state when `keep_states` is set."""
+                kept: list[MapState] | None = None) -> None:
+    """Step the map flow; the initial and every logged state are appended
+    to `kept` when it is given."""
     advance = _stepper(cfg)
+    keep = (lambda _: None) if kept is None else kept.append
     state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=initial_map(cfg))
-    kept = [state]
+    keep(state)
     for step in range(1, cfg.n_steps + 1):
         state = advance(state)
         if step % cfg.snapshot_every == 0:
             log.append(_map_row(state))
-            if keep_states:
-                kept.append(state)
+            keep(state)
     _write_final(cfg, outdir, state.time, {"u": state.u})
-    return kept
 
 
 def _make_provider(cfg: RunConfig):
@@ -211,7 +211,8 @@ def _run_reconstruct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> 
 
 def _run_roundtrip(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
     """Direct map flow vs gauge-side evolution + reconstruction of one seed."""
-    direct_states = _run_direct(cfg, outdir, log, keep_states=True)
+    direct_states: list[MapState] = []
+    _run_direct(cfg, outdir, log, direct_states)
     u0 = direct_states[0].u
     gstate, e_fixed = _seed_gnls(cfg, u0)
     provider = GnlsTrajectory(state=gstate, dt=cfg.dt)

@@ -153,10 +153,14 @@ def test_unknown_preset_parameter_is_config_error(tmp_path, capsys):
     assert "initial.c" in capsys.readouterr().err
 
 
-def test_integer_preset_parameter_is_cast(tmp_path):
+def test_integer_preset_parameter_is_cast(tmp_path, capsys):
     cfg = _write(tmp_path, ROUNDTRIP_CFG.replace(
         "preset = great-circle", "preset = perturbed-great-circle\nseed = 3"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 0
+    cfg = _write(tmp_path, ROUNDTRIP_CFG.replace(
+        "preset = great-circle", "preset = great-circle\nturns = 1.5"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "initial.turns" in capsys.readouterr().err
 
 
 def test_t_end_must_be_whole_steps(tmp_path, capsys):
