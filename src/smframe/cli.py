@@ -1,7 +1,7 @@
 """Command-line front-end.
 
     smframe run <config.cfg> [--output DIR] [--verbose]
-    smframe roundtrip <config.cfg> ...
+    smframe roundtrip <config.cfg> [--output DIR] [--verbose]
     smframe diagnose <snapshot.smfs>
     smframe version
 
@@ -12,6 +12,8 @@ failure.  All messages go to standard error; data goes to files.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import platform
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
@@ -23,6 +25,27 @@ from .errors import ConfigError, FormatError, SmframeError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: glibc mallopt(3) parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays of up to 16 MiB for reuse.
+
+    A solver step allocates and frees a few MiB of arrays.  glibc's
+    adaptive thresholds start low (arrays over 128 KiB are mapped and
+    unmapped one by one, a free heap top over 128 KiB is trimmed) and rise
+    only after a large block is freed, so each step can fault its pages
+    back in: 217k minor faults in a 200-step 64x64 parabolic-sm run, about
+    a fifth of its stepping time.  Fixed thresholds keep that memory in
+    the heap.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("diagnose", help="recompute functionals from a snapshot")
     pd.add_argument("snapshot", help="path to a .smfs state snapshot")
-    pd.add_argument("--verbose", action="store_true")
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -62,6 +84,7 @@ def _cmd_run(args, force_experiment: str | None = None) -> int:
                           f"subcommand expects {force_experiment!r}, "
                           f"config says {cfg.experiment!r}")
     from .runner import execute
+    _keep_freed_memory()
     outdir = execute(cfg, Path(path).read_text(), args.output)
     if args.verbose:
         print(f"run {cfg.run_id!r} finished; outputs in {outdir}", file=sys.stderr)

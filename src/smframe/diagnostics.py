@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .direct import MapState, dirichlet_density
+from .direct import MapState, dirichlet_density, map_moment
 from .errors import CadenceMismatch, NegativeEnergy
 from .field import integrate
 
@@ -26,16 +26,10 @@ def killing_functionals(state: MapState) -> np.ndarray:
     Sphere: (int u1, int u2, int u3), the potentials of the three ambient
     rotations.  Hyperboloid: (int (u0 - 1), int u1, int u2) - the moment
     plus the two boost potentials sinh(chi)cos(theta), sinh(chi)sin(theta)
-    written as ambient components.
+    written as ambient components.  These are the integrals of
+    `direct.map_moment`.
     """
-    u = state.u
-    if state.target.kind == "sphere":
-        vals = [integrate(state.grid, u[..., i]) for i in range(3)]
-    else:
-        vals = [integrate(state.grid, u[..., 0] - 1.0),
-                integrate(state.grid, u[..., 1]),
-                integrate(state.grid, u[..., 2])]
-    return np.asarray(vals)
+    return map_moment(state)
 
 
 def energy_map(state: MapState) -> float:

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
@@ -207,6 +206,8 @@ def exponential_gauge_connection(grid: Grid, f12: np.ndarray,
     """
     if grid.dim != 2:
         raise ValueError("exponential gauge reconstruction needs d = 2")
+    # imported here: loading scipy.ndimage costs every CLI start ~0.4 s
+    from scipy.ndimage import map_coordinates
     if samples_per_ray is None:
         samples_per_ray = 4 * max(grid.n)
     m = samples_per_ray + (samples_per_ray % 2)  # Simpson needs an even count

@@ -8,8 +8,12 @@ plus one base point (m, v0), integrate
 
 first along the spatial axes from the box center (axis 1 through the
 center line, then axis 2 from every point of that line), then pointwise in
-time using the solver's stage snapshots of (q_0, a_0).  Every discrete
-step is followed by retraction and frame re-orthonormalization.
+time using the solver's stage snapshots of (q_0, a_0).  The frame
+F = [u, e, Je] obeys the linear equation F' = F A with A in so(3) (S^2) or
+so(2,1) (H^2), so each step is a 4th-order Magnus step whose exponential
+has a closed form and keeps F on its group to round-off.  The sweep
+retracts and re-orthonormalizes once, at its output; the time transport
+does so after every step.
 
 The construction lives on the torus while the underlying identities hold
 on R^d, so the spatial sweep need not close up; the wrap-around mismatch
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidStep
-from .field import Grid, fractional_shift, rk4, spectral_derivative
+from .field import Grid, fractional_shift, spectral_derivative
 from .gauge import Connection, Coordinates
 from .gnls import GnlsState, gnls_step, nls1d_step
 
@@ -55,28 +59,64 @@ class MapFrameState:
     periodicity_defect: float = 0.0
 
 
-def _rk4_transport(target: geo.Target, y: np.ndarray, h: float, samples) -> np.ndarray:
-    """One RK4 step of the (u, e) ODE, y = (u, e) stacked on axis 0, with
-    (q, a) `samples` at the step's start, midpoint and end; then retraction
-    and re-orthonormalization."""
-    coef = {s: (q.real[..., np.newaxis], q.imag[..., np.newaxis], a[..., np.newaxis])
-            for s, (q, a) in zip((0.0, 0.5, 1.0), samples)}
-
-    def f(s, y):
-        qr, qi, a = coef[s]
-        je = geo.j_apply(target, y[0], y[1])
-        out = np.empty_like(y)
-        out[0] = qr * y[1] + qi * je
-        out[1] = a * je - target.kappa * qr * y[0]
-        return out
-
-    y = rk4(f, y, h)
-    y[0] = geo.retract(target, y[0])
-    y[1] = geo.orthonormalize_frame(target, y[0], y[1])
-    return y
+#: |c| below which the coefficients of exp(A(w)) are summed as Taylor
+#: series; the first dropped terms there are below |c|^5 / 11! ~ 3e-18.
+_SERIES_CUT = 1e-2
 
 
-#: RK4 substeps per grid interval in the spatial sweep; the coefficients
+def _magnus_generator(kappa: int, h: float, start, mid, end):
+    """w of the 4th-order Magnus step Omega = A(w) of F' = F A over a step h,
+    from (q, a) samples at the step's start, midpoint and end.
+
+    A(p) = [[0, -kappa p1, -kappa p2], [p1, 0, -p3], [p2, p3, 0]] with
+    p = (Re q, Im q, a) is the generator in the frame basis (u, e, Je), and
+    [A(p), A(r)] = A((p x r)_1, (p x r)_2, kappa (p x r)_3), so the Simpson
+    quadrature plus the commutator term h^2/12 [A_0, A_1] (its sign is that
+    of a right action) is again some A(w).  Returns w as (w1 + i w2, w3).
+    """
+    (q0, a0), (qm, am), (q1, a1) = start, mid, end
+    z = h / 6.0 * (q0 + 4.0 * qm + q1) + 1j * (h * h / 12.0) * (a0 * q1 - a1 * q0)
+    w3 = (h / 6.0 * (a0 + 4.0 * am + a1)
+          + kappa * (h * h / 12.0) * (q0.real * q1.imag - q0.imag * q1.real))
+    return z, w3
+
+
+def _exp_coefficients(kappa: int, z: np.ndarray,
+                      w3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, f2) with exp(A(w)) = I + f1 A(w) + f2 A(w)^2, from A^3 = c A with
+    c = -(kappa (w1^2 + w2^2) + w3^2): sin r / r and (1 - cos r) / r^2 for
+    c = -r^2, sinh r / r and (cosh r - 1) / r^2 for c = r^2."""
+    c = -(kappa * (z.real * z.real + z.imag * z.imag) + w3 * w3)
+    f1 = 1.0 + c * (1 / 6 + c * (1 / 120 + c * (1 / 5040 + c / 362880)))
+    f2 = 0.5 + c * (1 / 24 + c * (1 / 720 + c * (1 / 40320 + c / 3628800)))
+    big = np.abs(c) >= _SERIES_CUT
+    if np.any(big):
+        cb = c[big]
+        r = np.sqrt(np.abs(cb))
+        rot = cb < 0
+        f1[big] = np.where(rot, np.sin(r), np.sinh(r)) / r
+        f2[big] = 2.0 * (np.where(rot, np.sin(0.5 * r), np.sinh(0.5 * r)) / r) ** 2
+    return f1, f2
+
+
+def _propagator(kappa: int, z: np.ndarray, w3: np.ndarray) -> np.ndarray:
+    """exp(A(w)) as (..., 3, 3), its nine entries written out from w."""
+    f1, f2 = _exp_coefficients(kappa, z, w3)
+    w1, w2 = z.real, z.imag
+    m = np.empty(w3.shape + (3, 3))
+    m[..., 0, 0] = 1.0 - kappa * f2 * (w1 * w1 + w2 * w2)
+    m[..., 0, 1] = -kappa * (f1 * w1 + f2 * w2 * w3)
+    m[..., 0, 2] = kappa * (f2 * w1 * w3 - f1 * w2)
+    m[..., 1, 0] = f1 * w1 - f2 * w2 * w3
+    m[..., 1, 1] = 1.0 - f2 * (kappa * w1 * w1 + w3 * w3)
+    m[..., 1, 2] = -f1 * w3 - kappa * f2 * w1 * w2
+    m[..., 2, 0] = f1 * w2 + f2 * w1 * w3
+    m[..., 2, 1] = f1 * w3 - kappa * f2 * w1 * w2
+    m[..., 2, 2] = 1.0 - f2 * (kappa * w2 * w2 + w3 * w3)
+    return m
+
+
+#: Magnus substeps per grid interval in the spatial sweep; the coefficients
 #: are band-limited, so spectral interpolation supplies exact off-lattice
 #: samples and the substeps buy pure integrator accuracy (h/m)^4.
 SWEEP_SUBSTEPS = 8
@@ -91,48 +131,48 @@ def _line_samples(grid: Grid, f: np.ndarray, axis: int, n_sub: int) -> np.ndarra
     return np.stack(out)
 
 
-def _sweep_line(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
-                u0, e0, center: int,
-                n_sub: int = SWEEP_SUBSTEPS) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integrate the transport ODE along one periodic line from its center.
+def _sweep(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
+           frame0: np.ndarray, center: int) -> tuple[np.ndarray, float]:
+    """Transport the frame along one periodic line from its center.
 
-    qs/as_ are `_line_samples` tables of shape (2m+1, batch..., n); u0/e0
-    may carry matching batch axes.  Returns (U, E, wrap defect) with the
-    line index as the first axis of U and E.
+    qs/as_ are `_line_samples` tables of shape (2m+1, batch..., n); frame0
+    is the (..., 3, 3) frame at the center and may carry matching batch
+    axes.  Each interval is crossed once: rightward from the center for
+    n/2 intervals, leftward for the other n/2, the last of which probes
+    the seam.  Returns the frames with the line index first and the wrap
+    defect.
     """
+    n_sub = (qs.shape[0] - 1) // 2
     n = qs.shape[-1]
-    hs = h / n_sub
-    batch = np.broadcast_shapes(np.asarray(u0).shape[:-1], qs.shape[1:-1])
-    Y = np.zeros((n, 2) + batch + (3,))  # (u, e) stacked on axis 1
-    Y[center, 0] = geo.retract(target, np.broadcast_to(u0, batch + (3,)))
-    Y[center, 1] = geo.orthonormalize_frame(target, Y[center, 0],
-                                            np.broadcast_to(e0, batch + (3,)))
+    half = n // 2
+    z, w3 = _magnus_generator(target.kappa, h / n_sub, (qs[0:-1:2], as_[0:-1:2]),
+                              (qs[1::2], as_[1::2]), (qs[2::2], as_[2::2]))
+    # intervals in walk order; a leftward crossing runs the substeps in
+    # reverse with -w, the Magnus step over -h with the samples reversed
+    right = (center + np.arange(half)) % n
+    left = (center - 1 - np.arange(half)) % n
+    z = np.concatenate([z[..., right], -z[::-1, ..., left]], axis=-1)
+    w3 = np.concatenate([w3[..., right], -w3[::-1, ..., left]], axis=-1)
+    sub = np.moveaxis(_propagator(target.kappa, z, w3), -3, 1)  # (m, walk, batch, 3, 3)
+    step = sub[0]
+    for factor in sub[1:]:
+        step = step @ factor
 
-    def node_step(y, j, forward: bool):
-        col = j % n
-        for i in range(n_sub):
-            ts = (2 * i, 2 * i + 1, 2 * i + 2)
-            if not forward:
-                ts = tuple(2 * n_sub - t for t in ts)
-            y = _rk4_transport(target, y, hs if forward else -hs,
-                               [(qs[t][..., col], as_[t][..., col]) for t in ts])
-        return y
-
-    # rightward: nodes center .. center + n/2
-    y = Y[center]
-    for j in range(center, center + n // 2):
-        y = node_step(y, j, forward=True)
-        Y[(j + 1) % n] = y
-    wrap = y
-
-    # leftward: nodes center .. center - n/2 + 1, plus one probe step to the seam
-    y = Y[center]
-    for j in range(center, center - n // 2, -1):
-        y = node_step(y, j - 1, forward=False)
-        if j > center - n // 2 + 1:
-            Y[(j - 1) % n] = y
-    defect = float(np.max(np.linalg.norm(y - wrap, axis=-1).sum(axis=0)))
-    return Y[:, 0], Y[:, 1], defect
+    batch = np.broadcast_shapes(frame0.shape[:-2], qs.shape[1:-1])
+    frames = np.empty((n,) + batch + (3, 3))
+    frames[center] = frame0
+    f = frames[center]
+    for k in range(half):
+        f = f @ step[k]
+        frames[(center + 1 + k) % n] = f
+    wrap = f
+    f = frames[center]
+    for k in range(half):
+        f = f @ step[half + k]
+        if k < half - 1:
+            frames[(center - 1 - k) % n] = f
+    gap = np.linalg.norm(f[..., :2] - wrap[..., :2], axis=-2)
+    return frames, float(np.max(gap.sum(axis=-1)))
 
 
 def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
@@ -144,44 +184,53 @@ def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
     """
     base.validate(target)
     c = grid.center_index
+    m = geo.retract(target, base.m)
+    v0 = geo.orthonormalize_frame(target, m, base.v0)
+    frame0 = np.stack([m, v0, geo.j_apply(target, m, v0)], axis=-1)  # columns u, e, Je
 
-    if grid.dim == 1:
-        qs = _line_samples(grid, coords.q[0], 0, SWEEP_SUBSTEPS)
-        as_ = _line_samples(grid, conn.a[0], 0, SWEEP_SUBSTEPS)
-        U, E, defect = _sweep_line(target, grid.spacing[0], qs, as_,
-                                   base.m, base.v0, c[0])
-        return MapFrameState(grid=grid, target=target, time=0.0, u=U, e=E,
-                             periodicity_defect=defect)
+    qs = _line_samples(grid, coords.q[0], 0, SWEEP_SUBSTEPS)
+    as_ = _line_samples(grid, conn.a[0], 0, SWEEP_SUBSTEPS)
+    if grid.dim == 2:
+        # sample tables are (2m+1, x2, x1), so the center row is [:, c[1], :]
+        qs, as_ = qs[:, c[1], :], as_[:, c[1], :]
+    frames, defect = _sweep(target, grid.spacing[0], qs, as_, frame0, c[0])
 
-    # axis 1 along the center row; sample tables are (2m+1, x2, x1), so the
-    # row at the x2 center is [:, c[1], :]
-    qs1 = _line_samples(grid, coords.q[0], 0, SWEEP_SUBSTEPS)[:, c[1], :]
-    as1 = _line_samples(grid, conn.a[0], 0, SWEEP_SUBSTEPS)[:, c[1], :]
-    Urow, Erow, defect1 = _sweep_line(target, grid.spacing[0], qs1, as1,
-                                      base.m, base.v0, c[0])
+    if grid.dim == 2:
+        # axis 2 from every point of the row, batched over axis 1
+        qs = _line_samples(grid, coords.q[1], 1, SWEEP_SUBSTEPS)
+        as_ = _line_samples(grid, conn.a[1], 1, SWEEP_SUBSTEPS)
+        cols, defect2 = _sweep(target, grid.spacing[1], qs, as_, frames, c[1])
+        # the swept (axis 2) index comes first; restore (x1, x2) order
+        frames, defect = np.swapaxes(cols, 0, 1), max(defect, defect2)
 
-    # axis 2 from every point of the row, batched over axis 1
-    qs2 = _line_samples(grid, coords.q[1], 1, SWEEP_SUBSTEPS)
-    as2 = _line_samples(grid, conn.a[1], 1, SWEEP_SUBSTEPS)
-    Ucol, Ecol, defect2 = _sweep_line(target, grid.spacing[1], qs2, as2,
-                                      Urow, Erow, c[1])
-    # _sweep_line puts the swept (axis 2) index first; restore (x1, x2) order
-    u = np.swapaxes(Ucol, 0, 1)
-    e = np.swapaxes(Ecol, 0, 1)
+    u = geo.retract(target, frames[..., 0])
+    e = geo.orthonormalize_frame(target, u, frames[..., 1])
     return MapFrameState(grid=grid, target=target, time=0.0, u=u, e=e,
-                         periodicity_defect=max(defect1, defect2))
+                         periodicity_defect=defect)
 
 
 def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
                       stages, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of the pointwise (u, e) time ODE.
+    """One Magnus step of the pointwise frame ODE F_t = F A(q0, a0), then
+    retraction and re-orthonormalization.
 
     `stages` holds the (q0, a0) field pairs at t, t + dt/2 and t + dt.
     """
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
-    y = _rk4_transport(target, np.stack([u, e]), dt, stages)
-    return y[0], y[1]
+    kappa = target.kappa
+    z, w3 = _magnus_generator(kappa, dt, *stages)
+    f1, f2 = _exp_coefficients(kappa, z, w3)
+    w1, w2, w3, f1, f2 = (t[..., np.newaxis] for t in (z.real, z.imag, w3, f1, f2))
+    # the columns of F A(w), then the u and e columns of F A(w)^2
+    je = geo.j_apply(target, u, e)
+    au = w1 * e + w2 * je
+    ae = w3 * je - kappa * w1 * u
+    aj = -kappa * w2 * u - w3 * e
+    u = u + f1 * au + f2 * (w1 * ae + w2 * aj)
+    e = e + f1 * ae + f2 * (w3 * aj - kappa * w1 * au)
+    u = geo.retract(target, u)
+    return u, geo.orthonormalize_frame(target, u, e)
 
 
 class TrajectoryProvider(Protocol):

@@ -84,7 +84,12 @@ def _preset_kwargs(cfg: RunConfig, preset) -> dict:
 
 def _initial(cfg: RunConfig, table: dict, kind: str, name: str) -> np.ndarray:
     if cfg.snapshot_path:
-        return read_snapshot(cfg.snapshot_path).fields[name]
+        fields = read_snapshot(cfg.snapshot_path).fields
+        if name not in fields:
+            raise ConfigError("initial.snapshot",
+                              f"snapshot has no field {name!r} "
+                              f"(it holds {', '.join(fields) or 'none'})")
+        return fields[name]
     if cfg.preset not in table:
         raise ConfigError("initial.preset",
                           f"{cfg.preset!r} is not a {kind} preset "
@@ -155,11 +160,12 @@ def _run_gnls(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
 
 
 def _map_row(state: MapState) -> diag.DiagnosticsRow:
+    moment = tuple(map_moment(state))  # also the Killing functionals
     return diag.DiagnosticsRow(
         time=state.time,
         energy=diag.energy_map(state),
-        moment=tuple(map_moment(state)),
-        killing=tuple(diag.killing_functionals(state)),
+        moment=moment,
+        killing=moment,
         constraint_max=state.constraint_max())
 
 

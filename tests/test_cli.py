@@ -1,13 +1,21 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smframe
+from smframe import geometry as geo
+from smframe import presets
 from smframe.cli import main
 from smframe.diagnostics import read_diagnostics
-from smframe.snapshot import read_snapshot
+from smframe.field import Grid
+from smframe.snapshot import read_snapshot, write_snapshot
 
 NLS1D_CFG = """
 [run]
@@ -46,6 +54,24 @@ preset = great-circle
 [base]
 m = 1, 0, 0
 v0 = 0, 0, 1
+"""
+
+
+DIRECT_CFG = """
+[run]
+experiment = direct-sm
+target = sphere
+dt = 1e-4
+t_end = 1e-3
+snapshot_every = 5
+run_id = flow
+
+[grid]
+n = 64
+length = 6.283185307179586
+
+[initial]
+preset = perturbed-great-circle
 """
 
 
@@ -167,3 +193,57 @@ def test_t_end_must_be_whole_steps(tmp_path, capsys):
     cfg = _write(tmp_path, NLS1D_CFG.replace("t_end = 0.01", "t_end = 0.0105"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
     assert "run.t_end" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(smframe.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, smframe.cli, smframe.runner; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_snapshot_without_needed_field_is_config_error(tmp_path, capsys):
+    g = Grid((64,), (62.83185307179586,))
+    snap = tmp_path / "map.smfs"
+    write_snapshot(snap, g, geo.SPHERE, 0.0, {"u": presets.great_circle(g)})
+    cfg = _write(tmp_path, NLS1D_CFG.replace("preset = soliton\nb = 2.0",
+                                             f"snapshot = {snap}"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.snapshot" in err and "'q'" in err and "u" in err
+
+
+def test_diagnose_has_no_verbose_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", str(tmp_path / "demo.final.smfs"), "--verbose"])
+    assert exc.value.code == 2
+
+
+def test_direct_run_logs_moments_as_killing_functionals(tmp_path):
+    cfg = _write(tmp_path, DIRECT_CFG)
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 0
+    rows = read_diagnostics(tmp_path / "flow.diag.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert all(math.isfinite(v) for v in row.moment)
+        assert row.killing == row.moment
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc allocator thresholds")
+def test_run_keeps_freed_arrays_for_reuse():
+    # a freed 4 MiB array is reused without page faults, instead of being
+    # unmapped (or trimmed off the heap) and faulted back in
+    src = Path(smframe.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import resource, numpy as np; from smframe import cli; "
+            "cli._keep_freed_memory(); np.ones(1 << 19); "
+            "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "np.ones(1 << 19); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 100

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import expm
 
 from smframe import geometry as geo
 from smframe import presets
@@ -12,6 +15,7 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            frame_from_reference, remove_mean_connection,
                            rotate_frame)
 from smframe.reconstruct import (BasePointData, Nls1dTrajectory,
+                                 _magnus_generator, _propagator,
                                  initial_data_sweep, reconstruct_trajectory,
                                  sm_residual, time_evolve_point,
                                  uniqueness_gap)
@@ -50,9 +54,10 @@ def test_sweep_recovers_great_circle():
     c = g.center_index[0]
     st = initial_data_sweep(geo.SPHERE, g, coords, conn,
                             BasePointData(u[c], e[c]))
-    assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-8
-    assert np.max(np.abs(st.e - e)) < 1e-8
-    assert st.periodicity_defect < 1e-8
+    # (q, a) is constant along a great circle, where the Magnus step is exact
+    assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-11
+    assert np.max(np.abs(st.e - e)) < 1e-11
+    assert st.periodicity_defect < 1e-11
 
 
 def _hyperbolic_roundtrip_error(n):
@@ -98,6 +103,52 @@ def test_sweep_recovers_2d_map_and_frame():
     sl = (slice(16, 48), slice(16, 48))
     assert np.max(np.abs(st.e[sl] - e[sl])) < 1e-6
     assert st.periodicity_defect < 0.05
+
+
+def _generator(kappa, w):
+    w1, w2, w3 = w
+    return np.array([[0.0, -kappa * w1, -kappa * w2],
+                     [w1, 0.0, -w3],
+                     [w2, w3, 0.0]])
+
+
+# c = -(kappa (w1^2 + w2^2) + w3^2) sets the branch of the exponential:
+# rotations (c < 0), boosts (c > 0, H^2 only), and the Taylor series for
+# |c| < 1e-2, probed on both sides of that cut-off
+@settings(max_examples=200, deadline=None)
+@given(kappa=hst.sampled_from([1, -1]),
+       w=hst.tuples(*[hst.floats(-1.0, 1.0)] * 3),
+       scale=hst.floats(1e-4, 1.0))
+@example(kappa=1, w=(0.1, 0.0, 0.0), scale=0.999)
+@example(kappa=1, w=(0.1, 0.0, 0.0), scale=1.001)
+@example(kappa=1, w=(0.6, -0.5, 0.7), scale=1.0)
+@example(kappa=-1, w=(0.1, 0.0, 0.0), scale=0.999)
+@example(kappa=-1, w=(0.1, 0.0, 0.0), scale=1.001)
+@example(kappa=-1, w=(0.6, 0.5, 0.1), scale=1.0)
+@example(kappa=-1, w=(0.0, 0.0, 0.1), scale=0.999)
+@example(kappa=-1, w=(0.0, 0.0, 0.1), scale=1.001)
+@example(kappa=-1, w=(0.1, 0.0, 0.9), scale=1.0)
+def test_magnus_propagator_stays_on_the_frame_group(kappa, w, scale):
+    w = scale * np.asarray(w)
+    m = _propagator(kappa, np.array([w[0] + 1j * w[1]]), np.array([w[2]]))[0]
+    g = np.diag([kappa, 1.0, 1.0])  # the frame's Gram matrix <F_i, F_j>
+    assert np.max(np.abs(m.T @ g @ m - g)) < 1e-13
+    assert np.max(np.abs(m - expm(_generator(kappa, w)))) < 1e-13
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC])
+def test_magnus_step_is_time_reversible(target):
+    rng = np.random.default_rng(7)
+    k = target.kappa
+    q = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    a = rng.standard_normal((3, 16))
+    samples = list(zip(q, a))  # (q, a) at a step's start, midpoint and end
+    fwd = _propagator(k, *_magnus_generator(k, 0.3, *samples))
+    bwd = _propagator(k, *_magnus_generator(k, -0.3, *samples[::-1]))
+    u = geo.retract(target, target.base_point + 0.3 * rng.standard_normal((16, 3)))
+    e = geo.orthonormalize_frame(target, u, rng.standard_normal((16, 3)))
+    frame = np.stack([u, e, geo.j_apply(target, u, e)], axis=-1)
+    assert np.max(np.abs(frame @ fwd @ bwd - frame)) < 1e-14
 
 
 def test_time_evolve_point_plane_wave_precession():
