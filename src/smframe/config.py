@@ -108,8 +108,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError("run.target", str(exc)) from exc
 
     dt = _get(run, "dt", float, "run.dt")
-    if dt <= 0:
-        raise ConfigError("run.dt", f"must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigError("run.dt", f"must be finite and positive, got {dt}")
     t_end = _get(run, "t_end", float, "run.t_end")
     if not 0 <= t_end < math.inf:
         raise ConfigError("run.t_end", f"must be finite and nonnegative, got {t_end}")

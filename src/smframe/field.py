@@ -179,10 +179,12 @@ def fractional_shift(grid: Grid, f: np.ndarray, axis: int,
     return out if np.iscomplexobj(f) else out.real
 
 
-def rk4(f, y: np.ndarray, h: float) -> np.ndarray:
+def rk4(f, y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
     """One classical RK4 step of dy/dt = f(s, y), where s in {0, 1/2, 1} is
-    the stage time as a fraction of h (for coefficients sampled in time)."""
-    k1 = f(0.0, y)
+    the stage time as a fraction of h (for coefficients sampled in time); a
+    given k1 stands in for f(0, y)."""
+    if k1 is None:
+        k1 = f(0.0, y)
     k2 = f(0.5, y + 0.5 * h * k1)
     k3 = f(0.5, y + 0.5 * h * k2)
     k4 = f(1.0, y + h * k3)

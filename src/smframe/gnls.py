@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +147,14 @@ class GnlsState:
         return connection_from_coordinates(self.target, self.grid, self.q)
 
     def fields(self) -> tuple[Coordinates, Connection]:
-        """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0)."""
+        """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0),
+        derived once per state object."""
+        return self._fields
+
+    @cached_property
+    def _fields(self) -> tuple[Coordinates, Connection]:
+        # kept in the instance __dict__, outside the dataclass fields, so
+        # dataclasses.replace never carries it to a state with another q
         a = self.connection()
         q0 = 1j * covariant_divergence(self.grid, self.q, a)
         a0 = a0_from_q0(self.target, self.grid, self.q, q0)
@@ -201,15 +209,17 @@ def gnls_rhs(state: GnlsState, use_dealias: bool = True) -> np.ndarray:
     return _stack([dealias(grid, r) for r in out] if use_dealias else out)
 
 
-def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True) -> GnlsState:
-    """Classical RK4 step; the connection is re-derived at every stage."""
+def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True,
+              k1: np.ndarray | None = None) -> GnlsState:
+    """Classical RK4 step; the connection is re-derived at every stage.
+    A given k1 must equal gnls_rhs(state), e.g. from the step that ended there."""
     check_cfl(state.grid, dt)
 
     def f(s, y):
         stage = GnlsState(state.grid, state.target, state.time, _unstack(y))
         return gnls_rhs(stage, use_dealias)
 
-    qn = rk4(f, _stack(state.q), dt)
+    qn = rk4(f, _stack(state.q), dt, k1)
     return replace(state, time=state.time + dt, q=_unstack(qn))
 
 

@@ -8,7 +8,7 @@ plus one base point (m, v0), integrate
 
 first along the spatial axes from the box center (axis 1 through the
 center line, then axis 2 from every point of that line), then pointwise in
-time using the solver's stage snapshots of (q_0, a_0).  The frame
+time using (q_0, a_0) at each step's start, midpoint and end.  The frame
 F = [u, e, Je] obeys the linear equation F' = F A with A in so(3) (S^2) or
 so(2,1) (H^2), so each step is a 4th-order Magnus step whose exponential
 has a closed form and keeps F on its group to round-off.  The sweep
@@ -31,7 +31,7 @@ from . import geometry as geo
 from .errors import InvalidStep
 from .field import Grid, fractional_shift, spectral_derivative
 from .gauge import Connection, Coordinates
-from .gnls import GnlsState, gnls_step, nls1d_step
+from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step, nls1d_step
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,12 @@ def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
     v0 = geo.orthonormalize_frame(target, m, base.v0)
     frame0 = np.stack([m, v0, geo.j_apply(target, m, v0)], axis=-1)  # columns u, e, Je
 
-    qs = _line_samples(grid, coords.q[0], 0, SWEEP_SUBSTEPS)
-    as_ = _line_samples(grid, conn.a[0], 0, SWEEP_SUBSTEPS)
+    line, q1, a1 = grid, coords.q[0], conn.a[0]
     if grid.dim == 2:
-        # sample tables are (2m+1, x2, x1), so the center row is [:, c[1], :]
-        qs, as_ = qs[:, c[1], :], as_[:, c[1], :]
+        # axis 1 is swept along the center row only, so sample just that row
+        line, q1, a1 = Grid(grid.n[:1], grid.length[:1]), q1[:, c[1]], a1[:, c[1]]
+    qs = _line_samples(line, q1, 0, SWEEP_SUBSTEPS)
+    as_ = _line_samples(line, a1, 0, SWEEP_SUBSTEPS)
     frames, defect = _sweep(target, grid.spacing[0], qs, as_, frame0, c[0])
 
     if grid.dim == 2:
@@ -234,7 +235,8 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
 
 
 class TrajectoryProvider(Protocol):
-    """Gauge-side trajectory that can serve RK4 stage snapshots."""
+    """Gauge-side trajectory that serves (q0, a0) at a step's start, midpoint
+    and end."""
 
     grid: Grid
     target: geo.Target
@@ -255,6 +257,8 @@ class Nls1dTrajectory:
     q: np.ndarray
     dt: float
     target: geo.Target = geo.SPHERE
+    #: (q, its (q0, a0)) at the end of the last step, the next step's start
+    _end = (None, None)
 
     def _fields(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q0 = 1j * spectral_derivative(self.grid, q, 0)
@@ -269,15 +273,20 @@ class Nls1dTrajectory:
         q_t, kappa = self.q, self.target.kappa
         q_mid = nls1d_step(self.grid, q_t, self.dt / 2.0, kappa)
         self.q = nls1d_step(self.grid, q_mid, self.dt / 2.0, kappa)
-        return [self._fields(q) for q in (q_t, q_mid, self.q)]
+        start = self._end[1] if self._end[0] is q_t else self._fields(q_t)
+        self._end = (self.q, self._fields(self.q))
+        return [start, self._fields(q_mid), self._end[1]]
 
 
 @dataclass
 class GnlsTrajectory:
-    """Coulomb-gauge GNLS trajectory advanced by half steps for stage data."""
+    """Coulomb-gauge GNLS trajectory: one RK4 step per dt, with the midpoint
+    data from cubic Hermite dense output."""
 
     state: GnlsState
     dt: float
+    #: (state, gnls_rhs(state)) at the end of the last step, the next k1
+    _end = (None, None)
 
     @property
     def grid(self) -> Grid:
@@ -292,10 +301,15 @@ class GnlsTrajectory:
                 Connection(a=self.state.connection(), gauge="coulomb"))
 
     def advance(self):
-        s0 = self.state
-        s_mid = gnls_step(s0, self.dt / 2.0)
-        self.state = gnls_step(s_mid, self.dt / 2.0)
-        fields = [s.fields() for s in (s0, s_mid, self.state)]
+        s0, dt = self.state, self.dt
+        f0 = self._end[1] if self._end[0] is s0 else gnls_rhs(s0)
+        s1 = gnls_step(s0, dt, k1=f0)
+        f1 = gnls_rhs(s1)  # first same as last: the next step's k1
+        # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
+        q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
+        s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
+        self.state, self._end = s1, (s1, f1)
+        fields = [s.fields() for s in (s0, s_mid, s1)]
         return [(coords.q0, conn.a0) for coords, conn in fields]
 
 

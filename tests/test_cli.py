@@ -120,6 +120,15 @@ def test_invalid_dt_is_config_error(tmp_path, capsys):
     assert "run.dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["inf", "nan"])
+def test_non_finite_dt_is_config_error(tmp_path, capsys, dt):
+    cfg = _write(tmp_path, NLS1D_CFG.replace("dt = 1e-3", f"dt = {dt}")
+                 .replace("t_end = 0.01", "t_end = 1"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "run.dt" in capsys.readouterr().err
+    assert not (tmp_path / "demo.diag.csv").exists()
+
+
 def test_unknown_experiment_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, NLS1D_CFG.replace("experiment = nls1d",
                                              "experiment = magic"))

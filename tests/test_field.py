@@ -101,6 +101,14 @@ def test_rk4_matches_taylor_factor_on_linear_ode():
     assert np.max(np.abs(out - factor * y)) < 1e-14
 
 
+def test_rk4_with_given_k1_is_bit_identical():
+    def f(s, v):
+        return 1j * np.abs(v) ** 2 * v + (0.3 - s) * v
+
+    y = np.array([[1.0, -2.0], [0.5j, 3.0 - 1.0j]])
+    assert np.array_equal(rk4(f, y, 0.1, k1=f(0.0, y)), rk4(f, y, 0.1))
+
+
 def test_rk4_passes_stage_times():
     # RK4 reduces to Simpson's rule when f depends on t alone, and Simpson
     # integrates dy/dt = 4 t^3 exactly: y(h) = h^4.  A power-of-two h keeps

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
 from smframe.field import Grid, integrate, spectral_derivative
 from smframe.gnls import (GnlsState, check_cfl, connection_from_coordinates,
-                          gnls_dissipation, gnls_mass, gnls_seed_from_map,
-                          gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
+                          gnls_dissipation, gnls_mass, gnls_rhs,
+                          gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
 from smframe.gauge import best_reference_frame, compatibility_residual
 
@@ -100,6 +101,30 @@ def test_gnls_conserves_mass_2d():
         st = gnls_step(st, 5e-5)
     assert abs(gnls_mass(st) - m0) < 1e-10 * m0
     assert st.time == pytest.approx(20 * 5e-5)
+
+
+def _bump_state(n=32, length=8 * np.pi):
+    g = Grid((n, n), (length, length))
+    u = presets.sphere_bump_2d(g, 0.5, 1.4)
+    return gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+
+
+def test_fields_are_derived_once_per_state():
+    st = _bump_state()
+    first = st.fields()
+    assert all(a is b for a, b in zip(st.fields(), first))
+    moved = replace(st, q=tuple(2.0 * qi for qi in st.q))
+    assert "_fields" not in vars(moved)
+    coords, conn = moved.fields()
+    assert coords.q is moved.q
+    assert not np.array_equal(conn.a0, first[1].a0)
+
+
+def test_gnls_step_with_given_k1_is_bit_identical():
+    st = _bump_state()
+    given = gnls_step(st, 5e-5, k1=gnls_rhs(st))
+    plain = gnls_step(st, 5e-5)
+    assert all(np.array_equal(a, b) for a, b in zip(given.q, plain.q))
 
 
 def test_parabolic_step_is_exact_on_linear_part():

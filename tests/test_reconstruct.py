@@ -6,19 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import expm
 
+import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
-from smframe.errors import InvalidStep, MeanHolonomy
+from smframe.errors import CFLViolation, InvalidStep, MeanHolonomy
 from smframe.field import Grid
 from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            coulomb_fix, extract_coordinates,
                            frame_from_reference, remove_mean_connection,
                            rotate_frame)
-from smframe.reconstruct import (BasePointData, Nls1dTrajectory,
-                                 _magnus_generator, _propagator,
-                                 initial_data_sweep, reconstruct_trajectory,
-                                 sm_residual, time_evolve_point,
-                                 uniqueness_gap)
+from smframe.gnls import CFL_CONSTANT, GnlsState, gnls_seed_from_map, gnls_step
+from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
+                                 GnlsTrajectory, Nls1dTrajectory,
+                                 _line_samples, _magnus_generator,
+                                 _propagator, initial_data_sweep,
+                                 reconstruct_trajectory, sm_residual,
+                                 time_evolve_point, uniqueness_gap)
 
 
 def test_base_point_validation():
@@ -103,6 +106,16 @@ def test_sweep_recovers_2d_map_and_frame():
     sl = (slice(16, 48), slice(16, 48))
     assert np.max(np.abs(st.e[sl] - e[sl])) < 1e-6
     assert st.periodicity_defect < 0.05
+
+
+def test_center_row_samples_match_full_grid_tables():
+    g = Grid((64, 32), (8 * np.pi, 4 * np.pi))
+    row = Grid(g.n[:1], g.length[:1])
+    c = g.center_index[1]
+    q = presets.random_bandlimited(g, kmax=6, amplitude=0.5, seed=3)
+    for f in (q, q.real):
+        full = _line_samples(g, f, 0, SWEEP_SUBSTEPS)[:, c, :]
+        assert np.array_equal(_line_samples(row, f[:, c], 0, SWEEP_SUBSTEPS), full)
 
 
 def _generator(kappa, w):
@@ -217,3 +230,72 @@ def test_snapshot_every_thins_output():
     states = reconstruct_trajectory(provider, base, 6, snapshot_every=3)
     assert len(states) == 3
     assert [s.time for s in states] == pytest.approx([0.0, 3e-3, 6e-3])
+
+
+def _bump_trajectory(dt):
+    g = Grid((64, 64), (4 * np.pi, 4 * np.pi))
+    u = presets.sphere_bump_2d(g, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeanHolonomy)
+        state, _ = gnls_seed_from_map(geo.SPHERE, g, u,
+                                      best_reference_frame(geo.SPHERE, u))
+    return GnlsTrajectory(state=state, dt=dt)
+
+
+def test_hermite_midpoint_is_fourth_order():
+    errors = []
+    for dt in (8e-4, 4e-4):
+        provider = _bump_trajectory(dt)
+        coords, conn = gnls_step(provider.state, dt / 2.0).fields()
+        _, (q0, a0), _ = provider.advance()
+        errors.append(max(np.max(np.abs(q0 - coords.q0)),
+                          np.max(np.abs(a0 - conn.a0))))
+    assert errors[0] < 1e-10
+    assert errors[1] < errors[0] / 12.0
+
+
+def _soliton_gnls(dt):
+    g = Grid((256,), (20 * np.pi,))
+    state = GnlsState(grid=g, target=geo.SPHERE, time=0.0,
+                      q=(presets.soliton(g, 2.0),))
+    return GnlsTrajectory(state=state, dt=dt)
+
+
+def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
+    solves = []
+    solve = smframe.gnls.poisson_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(smframe.gnls, "poisson_solve", counted)
+    provider = _soliton_gnls(1e-4)
+    provider.advance()
+    first = len(solves)
+    for _ in range(9):
+        provider.advance()
+    assert len(solves) - first <= 5 * 9
+
+
+def _soliton_nls(dt):
+    g = Grid((128,), (10 * np.pi,))
+    return Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=dt)
+
+
+@pytest.mark.parametrize("make, dt", [(_soliton_gnls, 1e-4), (_soliton_nls, 1e-3)],
+                         ids=["gnls", "nls1d"])
+def test_next_step_starts_from_the_last_end_stage(make, dt):
+    provider = make(dt)
+    end = provider.advance()[-1]
+    for _ in range(3):
+        stages = provider.advance()
+        assert all(np.array_equal(a, b) for a, b in zip(stages[0], end))
+        end = stages[-1]
+
+
+def test_gnls_trajectory_checks_cfl_at_the_full_step():
+    provider = _soliton_gnls(0.0)
+    provider.dt = 1.5 * CFL_CONSTANT * provider.grid.spacing[0] ** 2
+    with pytest.warns(CFLViolation):
+        provider.advance()
