@@ -20,8 +20,7 @@ from .gauge import (CompatReport, Connection, Coordinates,
                     covariant_derivative, exponential_gauge_connection,
                     exponential_gauge_curl_residual, extract_coordinates,
                     frame_from_reference, gauge_transform,
-                    parallel_gauge_sweep_1d, remove_mean_connection,
-                    rotate_frame, validate_frame)
+                    remove_mean_connection, rotate_frame, validate_frame)
 from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
                    gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                    parabolic_gnls_step)
@@ -33,7 +32,7 @@ from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
                           time_evolve_point, uniqueness_gap)
 from .diagnostics import (DiagnosticsLog, DiagnosticsRow, EquivalenceReport,
                           convergence_order, energy_map, equivalence_report,
-                          killing_functionals, read_diagnostics)
+                          read_diagnostics)
 from .snapshot import Snapshot, read_snapshot, write_snapshot
 from .config import RunConfig, load_config
 

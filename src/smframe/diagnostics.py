@@ -15,21 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .direct import MapState, dirichlet_density, map_moment
+from .direct import MapState, dirichlet_density
 from .errors import CadenceMismatch, NegativeEnergy
 from .field import integrate
-
-
-def killing_functionals(state: MapState) -> np.ndarray:
-    """Integrals of the Killing-field potentials.
-
-    Sphere: (int u1, int u2, int u3), the potentials of the three ambient
-    rotations.  Hyperboloid: (int (u0 - 1), int u1, int u2) - the moment
-    plus the two boost potentials sinh(chi)cos(theta), sinh(chi)sin(theta)
-    written as ambient components.  These are the integrals of
-    `direct.map_moment`.
-    """
-    return map_moment(state)
 
 
 def energy_map(state: MapState) -> float:
@@ -147,14 +135,12 @@ class EquivalenceReport:
 
 
 def equivalence_report(direct_run, reconstructed_run,
-                       time_tol: float = 1e-9,
-                       coarse: "EquivalenceReport | None" = None,
-                       refinement: float = 2.0) -> EquivalenceReport:
-    """Compare two trajectories of the same map at matching times.
+                       coarse: "EquivalenceReport | None" = None) -> EquivalenceReport:
+    """Compare two trajectories of the same map at matching times (to 1e-9).
 
-    Accepts any state objects carrying (grid, target, time, u).  When a
-    coarse-resolution report is supplied the convergence order of max_gap
-    is attached.
+    Accepts any state objects carrying (grid, target, time, u).  When the
+    report of a twice-coarser run is supplied, the convergence order of
+    max_gap is attached.
     """
     if len(direct_run) != len(reconstructed_run):
         raise CadenceMismatch(
@@ -162,13 +148,13 @@ def equivalence_report(direct_run, reconstructed_run,
     times = []
     gaps = []
     for sa, sb in zip(direct_run, reconstructed_run):
-        if abs(sa.time - sb.time) > time_tol:
+        if abs(sa.time - sb.time) > 1e-9:
             raise CadenceMismatch(f"times {sa.time} and {sb.time} differ")
         times.append(sa.time)
         gaps.append(float(np.max(geo.geodesic_distance(sa.target, sa.u, sb.u))))
     report = EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=max(gaps))
     if coarse is not None:
-        report.slope = convergence_order(coarse.max_gap, report.max_gap, refinement)
+        report.slope = convergence_order(coarse.max_gap, report.max_gap)
     return report
 
 

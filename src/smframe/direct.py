@@ -108,25 +108,26 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
     return replace(state, time=state.time + dt, u=geo.retract(tg, u_new))
 
 
-def hyperbolic_view(state: MapState, sinh_floor: float = 1e-6
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hyperbolic_view(state: MapState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Derived hyperbolic coordinates (chi, theta, theta_defined_mask).
 
     theta is meaningless at the coordinate singularity chi = 0; the mask
-    flags where sinh(chi) is large enough for it to be trusted.
+    flags where sinh(chi) >= 1e-6, large enough for it to be trusted.
     """
     if state.target.kind != "hyperbolic":
         raise ValueError("hyperbolic coordinates need a hyperbolic target")
     u = state.u
     chi = np.arccosh(np.clip(u[..., 0], 1.0, None))
-    mask = np.sinh(chi) >= sinh_floor
+    mask = np.sinh(chi) >= 1e-6
     theta = np.where(mask, np.arctan2(u[..., 2], u[..., 1]), 0.0)
     return chi, theta, mask
 
 
 def map_moment(state: MapState) -> np.ndarray:
     """int u dx for S^2; int (u - base point) dx for H^2 (first entry is
-    the conserved moment int (u0 - 1))."""
+    the conserved moment int (u0 - 1)).  These are the integrals of the
+    Killing-field potentials: the three rotations of S^2; the rotation and
+    the two boosts of H^2."""
     if state.target.kind == "sphere":
         return np.asarray(integrate(state.grid, state.u))
     return np.asarray(integrate(state.grid, state.u - state.target.base_point))

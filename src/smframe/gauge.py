@@ -41,20 +41,18 @@ class Coordinates:
 
 @dataclass
 class Connection:
-    """Real U(1) connection components a_1..a_d (and a_0) in a tagged gauge."""
+    """Real U(1) connection components a_1..a_d (and a_0)."""
 
     a: tuple[np.ndarray, ...]
     a0: np.ndarray | None = None
-    gauge: str = "other"  # coulomb | parallel-1d | exponential | other
 
 
-def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray,
-                   tol: float = FRAME_TOL) -> None:
+def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray) -> None:
     """Check the pointwise frame invariants: unit norm and tangency."""
-    geo.check_on_manifold(target, u, tol)
+    geo.check_on_manifold(target, u, FRAME_TOL)
     norm_defect = np.max(np.abs(geo.inner(target, e, e) - 1.0))
     tangency_defect = np.max(np.abs(geo.inner(target, e, u)))
-    if norm_defect > tol or tangency_defect > tol:
+    if norm_defect > FRAME_TOL or tangency_defect > FRAME_TOL:
         raise FrameInvalid(
             f"frame defects: |<e,e>-1| = {norm_defect:.3e}, |<e,u>| = {tangency_defect:.3e}"
         )
@@ -109,7 +107,7 @@ def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
         q.append(geo.inner(target, du, e) + 1j * geo.inner(target, du, je))
         de = geo.project_tangent(target, u, spectral_derivative(grid, e, axis))
         a.append(geo.inner(target, de, je))
-    return Coordinates(q=tuple(q)), Connection(a=tuple(a), gauge="other")
+    return Coordinates(q=tuple(q)), Connection(a=tuple(a))
 
 
 def gauge_transform(grid: Grid, coords: Coordinates, conn: Connection,
@@ -119,51 +117,20 @@ def gauge_transform(grid: Grid, coords: Coordinates, conn: Connection,
     q = tuple(phase * qk for qk in coords.q)
     a = tuple(ak + spectral_derivative(grid, theta, axis)
               for axis, ak in enumerate(conn.a))
-    return Coordinates(q=q), Connection(a=a, gauge="other")
+    return Coordinates(q=q), Connection(a=a)
 
 
 def coulomb_fix(grid: Grid, coords: Coordinates,
                 conn: Connection) -> tuple[Coordinates, Connection, np.ndarray]:
-    """Gauge-fix to the Coulomb gauge div a = 0 via Delta theta = -div a."""
+    """Gauge-fix to the Coulomb gauge div a = 0 via Delta theta = -div a.
+
+    In 1D this leaves a_1 constant; `remove_mean_connection` then zeroes
+    it, which is the parallel gauge.
+    """
     div = sum(spectral_derivative(grid, ak, axis) for axis, ak in enumerate(conn.a))
     theta = poisson_solve(grid, -div)
     q, a = gauge_transform(grid, coords, conn, theta)
-    a.gauge = "coulomb"
     return q, a, theta
-
-
-def parallel_gauge_sweep_1d(grid: Grid, coords: Coordinates, conn: Connection
-                            ) -> tuple[Coordinates, Connection, np.ndarray]:
-    """1D parallel gauge: theta = -int a_1, leaving a_1 identically zero.
-
-    The mean part of a_1 produces a linear (non-periodic) phase ramp; it is
-    applied pointwise and its holonomy around the torus is reported as a
-    MeanHolonomy warning when it exceeds round-off scale.  Returns the
-    rotation angle along with the transformed pair so a frame can be kept
-    in register via `rotate_frame`.
-    """
-    if grid.dim != 1:
-        raise ValueError("parallel gauge sweep is a 1D construction")
-    a1 = conn.a[0]
-    mean = float(np.mean(a1))
-    holonomy = mean * grid.length[0]
-    if abs(holonomy) > 2.0 * np.pi * 1e-8:
-        warnings.warn(
-            f"mean connection gives torus holonomy {holonomy:.3e}; "
-            "the parallel gauge is not periodic", MeanHolonomy)
-    # fluctuating part: spectral antiderivative
-    k = grid.wavenumber(0).copy()
-    k[0] = 1.0
-    k[grid.n[0] // 2] = 1.0
-    ah = np.fft.fft(a1 - mean)
-    th = ah / (1j * k)
-    th[0] = 0.0
-    th[grid.n[0] // 2] = 0.0
-    theta = -np.fft.ifft(th).real - mean * grid.axis_coord(0)
-    phase = np.exp(-1j * theta)
-    q = tuple(phase * qk for qk in coords.q)
-    a = (np.zeros_like(a1),)
-    return Coordinates(q=q), Connection(a=a, gauge="parallel-1d"), theta
 
 
 def remove_mean_connection(grid: Grid, coords: Coordinates, conn: Connection
@@ -191,26 +158,23 @@ def remove_mean_connection(grid: Grid, coords: Coordinates, conn: Connection
     phase = np.exp(-1j * theta)
     q = tuple(phase * qk for qk in coords.q)
     a = tuple(ak - m for ak, m in zip(conn.a, means))
-    return Coordinates(q=q), Connection(a=a, gauge=conn.gauge), theta
+    return Coordinates(q=q), Connection(a=a), theta
 
 
-def exponential_gauge_connection(grid: Grid, f12: np.ndarray,
-                                 samples_per_ray: int | None = None) -> Connection:
+def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> Connection:
     """Radial-transport (exponential) gauge from the curvature two-form.
 
     Reconstructs a_k(x) = int_0^1 x^l F_lk(s x) s ds about the box center,
     so x^1 a_1 + x^2 a_2 = 0 pointwise.  The ray integral is composite
     Simpson; off-lattice curvature values come from periodic cubic
     interpolation, so the construction is meaningful for curvature
-    supported in the box interior.
+    supported in the box interior.  Each ray takes 4 max(n) Simpson samples.
     """
     if grid.dim != 2:
         raise ValueError("exponential gauge reconstruction needs d = 2")
     # imported here: loading scipy.ndimage costs every CLI start ~0.4 s
     from scipy.ndimage import map_coordinates
-    if samples_per_ray is None:
-        samples_per_ray = 4 * max(grid.n)
-    m = samples_per_ray + (samples_per_ray % 2)  # Simpson needs an even count
+    m = 4 * max(grid.n)  # even, as Simpson's rule needs
     s = np.linspace(0.0, 1.0, m + 1)
     weights = np.ones(m + 1)
     weights[1:-1:2] = 4.0
@@ -230,13 +194,12 @@ def exponential_gauge_connection(grid: Grid, f12: np.ndarray,
         radial += wi * si * vals
     a1 = -x2 * radial
     a2 = x1 * radial
-    return Connection(a=(a1, a2), gauge="exponential")
+    return Connection(a=(a1, a2))
 
 
 def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
-                                    f12: np.ndarray,
-                                    interior_fraction: float = 0.5) -> float:
-    """max |curl a - f12| over the central part of the box.
+                                    f12: np.ndarray) -> float:
+    """max |curl a - f12| over the central half of the box (per axis).
 
     The radial-transport connection is not periodic (it decays only like
     1/|x|), so its curl is formed with local fourth-order centered
@@ -250,8 +213,7 @@ def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
 
     curl = fd(conn.a[1], 0) - fd(conn.a[0], 1)
     x1, x2 = grid.coords()
-    half1 = 0.5 * interior_fraction * grid.length[0]
-    half2 = 0.5 * interior_fraction * grid.length[1]
+    half1, half2 = 0.25 * grid.length[0], 0.25 * grid.length[1]
     interior = (np.abs(x1) < half1) & (np.abs(x2) < half2)
     return float(np.max(np.abs((curl - f12)[interior])))
 

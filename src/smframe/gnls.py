@@ -1,17 +1,16 @@
 """Evolution solvers on the gauge side.
 
-Covers the 1D cubic NLS (split-step Fourier), the d-dimensional
-Coulomb-gauge system for either curvature sign,
+Covers the 1D cubic NLS (split-step Fourier) and, for either curvature
+sign, the d-dimensional Coulomb-gauge systems
 
-    D_t q_l = i D_k D_k q_l - kappa <q_l, i q_k> q_k,
-    Delta a_j = d_k f_kj,          f_kj = kappa <q_k, i q_j>,
-    Delta a_0 = d_l f_l0,          f_l0 = kappa <q_l, i q_0>,
-    q_0 = i D_k q_k,
+    D_t q_l = mu (D_k D_k q_l + i f_lk q_k),   f_lk = kappa <q_l, i q_k>,
+    q_0 = mu D_k q_k,
+    Delta a_j = d_k f_kj,
+    Delta a_0 = d_l f_l0,                      f_l0 = kappa <q_l, i q_0>,
 
-and the parabolically perturbed system
-
-    (eps - i) D_t q_l = D_k D_k q_l + i kappa <q_l, i q_k> q_k,
-    (eps - i) q_0 = D_j q_j,        Delta a_0 = d_l <q_l, q_0>.
+with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
+= (eps + i) / (1 + eps^2) for its parabolic perturbation.  Both flows
+derive (a, q_0, a_0) and the right-hand side in the same two functions.
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -30,11 +29,10 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import CFLViolation, InvalidStep, SmframeError
-from .field import Grid, dealias, integrate, lawson_heun, poisson_solve, rk4, \
-    spectral_derivative
+from .field import Grid, dealias, integrate, laplacian, lawson_heun, poisson_solve, \
+    rk4, spectral_derivative
 from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
-    covariant_divergence, extract_coordinates, parallel_gauge_sweep_1d, \
-    remove_mean_connection, rotate_frame
+    covariant_divergence, extract_coordinates, remove_mean_connection, rotate_frame
 
 #: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
 CFL_CONSTANT = 0.5 / np.pi**2
@@ -134,6 +132,27 @@ def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
     return _anchor(grid, poisson_solve(grid, rhs))
 
 
+def _derive_fields(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
+                   mu: complex) -> tuple[Coordinates, Connection]:
+    """Coordinates (q, q_0 = mu D_k q_k) and the Coulomb connection (a, a_0)."""
+    a = connection_from_coordinates(target, grid, q)
+    q0 = mu * covariant_divergence(grid, q, a)
+    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0_from_q0(target, grid, q, q0))
+
+
+def _covariant_rhs(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
+                   conn: Connection, mu: complex) -> list[np.ndarray]:
+    """dq_l/dt = -i a_0 q_l + mu (D_k D_k q_l + i sum_k f_lk q_k) for each l."""
+    out = []
+    for l in range(grid.dim):
+        _, cov_lap = covariant_terms(grid, q[l], conn.a)
+        rhs = -1j * conn.a0 * q[l] + mu * cov_lap
+        for k in range(grid.dim):
+            rhs += (1j * mu) * (geo.curvature_f(target, q[l], q[k]) * q[k])
+        out.append(rhs)
+    return out
+
+
 @dataclass(frozen=True)
 class GnlsState:
     """Immutable Coulomb-gauge state; the connection is derived from q."""
@@ -155,31 +174,25 @@ class GnlsState:
     def _fields(self) -> tuple[Coordinates, Connection]:
         # kept in the instance __dict__, outside the dataclass fields, so
         # dataclasses.replace never carries it to a state with another q
-        a = self.connection()
-        q0 = 1j * covariant_divergence(self.grid, self.q, a)
-        a0 = a0_from_q0(self.target, self.grid, self.q, q0)
-        return Coordinates(q=self.q, q0=q0), Connection(a=a, a0=a0, gauge="coulomb")
+        return _derive_fields(self.target, self.grid, self.q, 1j)
 
 
 def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
-                       e: np.ndarray, time: float = 0.0
-                       ) -> tuple[GnlsState, np.ndarray]:
-    """Seed a GNLS state through frame extraction plus gauge fixing.
+                       e: np.ndarray) -> tuple[GnlsState, np.ndarray]:
+    """Seed a GNLS state at t = 0 through frame extraction plus gauge fixing.
 
     Going through a genuine map guarantees the compatibility conditions at
     t = 0 to scheme accuracy.  Returns the state together with the frame
     rotated into the fixed gauge, so that extracting coordinates along the
     returned frame reproduces state.q (needed to anchor reconstructions).
+    In 1D the Coulomb condition leaves a_1 constant, so removing its mean
+    gives the parallel gauge a_1 = 0.
     """
     coords, conn = extract_coordinates(target, grid, u, e)
-    if grid.dim == 1:
-        coords, conn, theta = parallel_gauge_sweep_1d(grid, coords, conn)
-    else:
-        coords, conn, theta = coulomb_fix(grid, coords, conn)
-        coords, conn, ramp = remove_mean_connection(grid, coords, conn)
-        theta = theta + ramp
-    state = GnlsState(grid=grid, target=target, time=time, q=coords.q)
-    return state, rotate_frame(target, u, e, theta)
+    coords, conn, theta = coulomb_fix(grid, coords, conn)
+    coords, conn, ramp = remove_mean_connection(grid, coords, conn)
+    state = GnlsState(grid=grid, target=target, time=0.0, q=coords.q)
+    return state, rotate_frame(target, u, e, theta + ramp)
 
 
 def _stack(q) -> np.ndarray:
@@ -195,29 +208,20 @@ def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
 # Schroedinger evolution
 # ---------------------------------------------------------------------------
 
-def gnls_rhs(state: GnlsState, use_dealias: bool = True) -> np.ndarray:
+def gnls_rhs(state: GnlsState) -> np.ndarray:
     """Right-hand side dq_l/dt of the Coulomb-gauge system, components last."""
-    target, grid, q = state.target, state.grid, state.q
     _, conn = state.fields()
-    out = []
-    for l in range(grid.dim):
-        _, cov_lap = covariant_terms(grid, q[l], conn.a)
-        rhs = -1j * conn.a0 * q[l] + 1j * cov_lap
-        for k in range(grid.dim):
-            rhs -= geo.curvature_f(target, q[l], q[k]) * q[k]
-        out.append(rhs)
-    return _stack([dealias(grid, r) for r in out] if use_dealias else out)
+    rhs = _covariant_rhs(state.target, state.grid, state.q, conn, 1j)
+    return _stack([dealias(state.grid, r) for r in rhs])
 
 
-def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True,
-              k1: np.ndarray | None = None) -> GnlsState:
+def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> GnlsState:
     """Classical RK4 step; the connection is re-derived at every stage.
     A given k1 must equal gnls_rhs(state), e.g. from the step that ended there."""
     check_cfl(state.grid, dt)
 
     def f(s, y):
-        stage = GnlsState(state.grid, state.target, state.time, _unstack(y))
-        return gnls_rhs(stage, use_dealias)
+        return gnls_rhs(GnlsState(state.grid, state.target, state.time, _unstack(y)))
 
     qn = rk4(f, _stack(state.q), dt, k1)
     return replace(state, time=state.time + dt, q=_unstack(qn))
@@ -227,41 +231,13 @@ def gnls_step(state: GnlsState, dt: float, use_dealias: bool = True,
 # Parabolic perturbation
 # ---------------------------------------------------------------------------
 
-def _parabolic_nonlinear(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
-                         epsilon: float, use_dealias: bool,
-                         include_nonlinear: bool = True) -> np.ndarray:
-    """All terms except the exact linear factor mu * Delta, stacked."""
-    mu = (epsilon + 1j) / (1.0 + epsilon**2)
-    out = []
-    if not include_nonlinear:
-        return np.zeros(grid.shape + (grid.dim,), dtype=complex)
-    a = connection_from_coordinates(target, grid, q)
-    q0 = mu * covariant_divergence(grid, q, a)  # (eps - i) q_0 = D_j q_j
-    rhs_a0 = np.zeros(grid.shape)
-    for l in range(grid.dim):
-        rhs_a0 += spectral_derivative(grid, np.real(q[l] * np.conj(q0)), l)
-    a0 = _anchor(grid, poisson_solve(grid, rhs_a0))
-    for l in range(grid.dim):
-        gauge_terms = np.zeros(grid.shape, dtype=complex)
-        for k in range(grid.dim):
-            gauge_terms += (1j * spectral_derivative(grid, a[k] * q[l], k)
-                            + 1j * a[k] * spectral_derivative(grid, q[l], k)
-                            - a[k] ** 2 * q[l])
-        cubic = np.zeros(grid.shape, dtype=complex)
-        for k in range(grid.dim):
-            cubic += 1j * geo.curvature_f(target, q[l], q[k]) * q[k]
-        out.append(-1j * a0 * q[l] + mu * (gauge_terms + cubic))
-    return _stack([dealias(grid, r) for r in out] if use_dealias else out)
-
-
-def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float,
-                        use_dealias: bool = True,
-                        include_nonlinear: bool = True) -> GnlsState:
+def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsState:
     """Lawson (integrating-factor) Heun step of the perturbed system.
 
     The stiff diffusion-dispersion factor exp(mu Delta dt) is applied
-    exactly in Fourier space; the gauge and cubic terms go through an
-    explicit trapezoidal corrector.  For the hyperbolic target the energy
+    exactly in Fourier space; the rest of the right-hand side, dealiased,
+    goes through an explicit trapezoidal corrector, so modes above the 2/3
+    cut feel the exact factor only.  For the hyperbolic target the energy
     E = 1/2 int sum |q_l|^2 must not increase across a step; this is
     asserted because an increase means the dissipation structure broke.
     """
@@ -273,8 +249,11 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float,
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
 
     def nonlinear(y):
-        return _parabolic_nonlinear(tg, grid, _unstack(y), epsilon, use_dealias,
-                                    include_nonlinear)
+        q = _unstack(y)
+        _, conn = _derive_fields(tg, grid, q, mu)
+        rhs = _covariant_rhs(tg, grid, q, conn, mu)
+        return _stack([dealias(grid, r - mu * laplacian(grid, ql))
+                       for r, ql in zip(rhs, q)])
 
     q = state.q
     qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))

@@ -41,8 +41,9 @@ class BasePointData:
     m: np.ndarray
     v0: np.ndarray
 
-    def validate(self, target: geo.Target, tol: float = 1e-8) -> None:
-        geo.check_on_manifold(target, self.m, tol)
+    def validate(self, target: geo.Target) -> None:
+        tol = geo.CONSTRAINT_TOL
+        geo.check_on_manifold(target, self.m)
         if abs(geo.inner(target, self.v0, self.m)) > tol:
             raise ValueError("v0 is not tangent at m")
         if abs(geo.inner(target, self.v0, self.v0) - 1.0) > tol:
@@ -266,8 +267,7 @@ class Nls1dTrajectory:
         return q0, a0
 
     def initial_coordinates(self) -> tuple[Coordinates, Connection]:
-        return (Coordinates(q=(self.q,)),
-                Connection(a=(np.zeros(self.grid.shape),), gauge="parallel-1d"))
+        return Coordinates(q=(self.q,)), Connection(a=(np.zeros(self.grid.shape),))
 
     def advance(self):
         q_t, kappa = self.q, self.target.kappa
@@ -297,8 +297,8 @@ class GnlsTrajectory:
         return self.state.target
 
     def initial_coordinates(self) -> tuple[Coordinates, Connection]:
-        return (Coordinates(q=self.state.q),
-                Connection(a=self.state.connection(), gauge="coulomb"))
+        # the first advance() reuses this derivation through the state's memo
+        return self.state.fields()
 
     def advance(self):
         s0, dt = self.state, self.dt

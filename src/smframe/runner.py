@@ -21,7 +21,7 @@ from .config import RunConfig
 from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
                      parabolic_sm_step)
 from .errors import ConfigError
-from .gauge import best_reference_frame, compatibility_residual
+from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
 from .geometry import SPHERE, constraint_defect
 from .reconstruct import (BasePointData, GnlsTrajectory, Nls1dTrajectory,
                           reconstruct_trajectory, sm_residual)
@@ -151,7 +151,9 @@ def _run_gnls(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
     for step in range(1, cfg.n_steps + 1):
         state = advance(state)
         if step % cfg.snapshot_every == 0:
-            compat = compatibility_residual(cfg.target, cfg.grid, *state.fields())
+            # reads q and a only: no q_0, a_0 derived or kept for the residual
+            compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=state.q),
+                                            Connection(a=state.connection()))
             log.append(diag.DiagnosticsRow(
                 time=state.time, mass=gnls.gnls_mass(state),
                 residual_compat=compat.as_tuple()))

@@ -12,7 +12,7 @@ import pytest
 from smframe import geometry as geo
 from smframe import presets
 from smframe.diagnostics import (convergence_order, energy_map,
-                                 killing_functionals, lorentz_weighted_energy)
+                                 lorentz_weighted_energy)
 from smframe.direct import (MapState, heisenberg_step, hyperbolic_sm_step,
                             map_moment, parabolic_sm_step)
 from smframe.field import Grid, integrate
@@ -190,10 +190,10 @@ def test_criterion_07_conservation_suite():
 
     state = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
                      u=presets.gaussian_bump_chi(g, 0.4, 1.0))
-    kil0, en0 = killing_functionals(state), energy_map(state)
+    kil0, en0 = map_moment(state), energy_map(state)
     for _ in range(n_steps):
         state = hyperbolic_sm_step(state, dt)
-    drift_h = max(float(np.max(np.abs(killing_functionals(state) - kil0))),
+    drift_h = max(float(np.max(np.abs(map_moment(state) - kil0))),
                   abs(energy_map(state) - en0))
 
     ok = drift_s < 1e-8 and drift_h < 1e-8

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import smframe
+import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.cli import main
@@ -72,6 +73,23 @@ length = 6.283185307179586
 
 [initial]
 preset = perturbed-great-circle
+"""
+
+GNLS_CFG = """
+[run]
+experiment = gnls
+target = sphere
+dt = 1e-4
+t_end = 5e-4
+snapshot_every = 1
+run_id = bump
+
+[grid]
+n = 32, 32
+length = 12.566370614359172
+
+[initial]
+preset = sphere-bump
 """
 
 
@@ -239,6 +257,25 @@ def test_direct_run_logs_moments_as_killing_functionals(tmp_path):
     for row in rows:
         assert all(math.isfinite(v) for v in row.moment)
         assert row.killing == row.moment
+
+
+def test_gnls_run_logs_compatibility_without_deriving_a0(tmp_path, monkeypatch):
+    # the logged residual reads q and a only: a_0 is solved at the 4 RK4
+    # stages of each step and nowhere else
+    solves = []
+    a0_from_q0 = smframe.gnls.a0_from_q0
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return a0_from_q0(*args, **kwargs)
+
+    monkeypatch.setattr(smframe.gnls, "a0_from_q0", counted)
+    cfg = _write(tmp_path, GNLS_CFG)
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 0
+    rows = read_diagnostics(tmp_path / "bump.diag.csv")
+    assert len(rows) == 5
+    assert all(math.isfinite(v) for row in rows for v in row.residual_compat)
+    assert len(solves) == 4 * 5
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -8,9 +8,8 @@ from smframe import presets
 from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
                                  EquivalenceReport, convergence_order,
                                  energy_map, equivalence_report,
-                                 killing_functionals, lorentz_weighted_energy,
-                                 read_diagnostics)
-from smframe.direct import MapState
+                                 lorentz_weighted_energy, read_diagnostics)
+from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
 from smframe.field import Grid, integrate
 from smframe.gnls import gnls_mass, gnls_seed_from_map
@@ -24,10 +23,10 @@ def _state(target, grid, u):
 def test_killing_functionals_closed_forms():
     g = Grid((32,), (2.0,))
     north = np.broadcast_to(geo.SPHERE.base_point, g.shape + (3,)).copy()
-    assert np.allclose(killing_functionals(_state(geo.SPHERE, g, north)),
+    assert np.allclose(map_moment(_state(geo.SPHERE, g, north)),
                        [0.0, 0.0, 2.0])
     apex = np.broadcast_to(geo.HYPERBOLIC.base_point, g.shape + (3,)).copy()
-    assert np.allclose(killing_functionals(_state(geo.HYPERBOLIC, g, apex)),
+    assert np.allclose(map_moment(_state(geo.HYPERBOLIC, g, apex)),
                        [0.0, 0.0, 0.0])
 
 

@@ -6,7 +6,8 @@ import pytest
 from smframe import geometry as geo
 from smframe.errors import FormatError, NonZeroMean
 from smframe.field import (Grid, dealias, fractional_shift, integrate,
-                           laplacian, poisson_solve, rk4, spectral_derivative)
+                           laplacian, lawson_heun, poisson_solve, rk4,
+                           spectral_derivative)
 from smframe.snapshot import read_snapshot, write_snapshot
 
 
@@ -116,6 +117,21 @@ def test_rk4_passes_stage_times():
     h = 0.5
     out = rk4(lambda s, v: np.full_like(v, 4.0 * (s * h) ** 3), np.zeros(2), h)
     assert np.all(out == h**4)
+
+
+def test_lawson_heun_is_exact_on_linear_part():
+    # with a zero nonlinearity the scheme must integrate dq/dt = mu q_xx
+    # exactly (integrating-factor property)
+    g = Grid((64,), (2 * np.pi,))
+    eps = 0.3
+    mu = (eps + 1j) / (1.0 + eps**2)
+    x = g.axis_coord(0)
+    q = np.exp(2j * x) + 0.5 * np.exp(-3j * x)
+    dt = 1e-2
+    out = lawson_heun(g, q, dt, mu, np.zeros_like)
+    expect = (np.exp(2j * x) * np.exp(-mu * 4 * dt)
+              + 0.5 * np.exp(-3j * x) * np.exp(-mu * 9 * dt))
+    assert np.max(np.abs(out - expect)) < 1e-13
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -12,8 +12,8 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            covariant_derivative, exponential_gauge_connection,
                            exponential_gauge_curl_residual,
                            extract_coordinates, frame_from_reference,
-                           gauge_transform, parallel_gauge_sweep_1d,
-                           remove_mean_connection, rotate_frame, validate_frame)
+                           gauge_transform, remove_mean_connection,
+                           rotate_frame, validate_frame)
 
 
 def _great_circle_setup(n=64, boxes=4):
@@ -104,7 +104,6 @@ def test_coulomb_fix_divergence_free_and_idempotent():
     div = sum(spectral_derivative(g, ak, axis) for axis, ak in enumerate(a1.a))
     # floor set by the Nyquist content of the seeded data
     assert np.max(np.abs(div)) < 1e-8
-    assert a1.gauge == "coulomb"
     q2, a2, th2 = coulomb_fix(g, q1, a1)
     assert np.max(np.abs(th2)) < 1e-9
     assert np.max(np.abs(q2.q[0] - q1.q[0])) < 1e-9
@@ -131,15 +130,18 @@ def test_parallel_gauge_zeroes_connection_and_warns_on_holonomy():
     # inject a connection with a mean by rotating the frame with a ramp-free part
     theta = 0.5 * np.sin(g.axis_coord(0) / 4.0)
     coords, conn = gauge_transform(g, coords, conn, theta)
-    qp, ap, theta = parallel_gauge_sweep_1d(g, coords, conn)
+    # in 1D the parallel gauge is the Coulomb gauge with its mean removed
+    qc, ac, theta = coulomb_fix(g, coords, conn)
+    qp, ap, ramp = remove_mean_connection(g, qc, ac)
+    theta = theta + ramp
     assert np.max(np.abs(ap.a[0])) < 1e-14
-    assert ap.gauge == "parallel-1d"
     assert np.max(np.abs(np.abs(qp.q[0]) - np.abs(coords.q[0]))) < 1e-12
     assert np.max(np.abs(qp.q[0] - np.exp(-1j * theta) * coords.q[0])) < 1e-12
 
     biased = Connection(a=(conn.a[0] + 0.3,))
+    qb, ab, _ = coulomb_fix(g, coords, biased)
     with pytest.warns(MeanHolonomy):
-        parallel_gauge_sweep_1d(g, coords, biased)
+        remove_mean_connection(g, qb, ab)
 
 
 def test_compatibility_residual_small_for_extracted_data():
@@ -161,7 +163,6 @@ def test_exponential_gauge_radial_identity_and_curl():
     coords, _ = extract_coordinates(geo.SPHERE, g, u, e)
     f12 = geo.curvature_f(geo.SPHERE, coords.q[0], coords.q[1])
     conn = exponential_gauge_connection(g, f12)
-    assert conn.gauge == "exponential"
     x1, x2 = g.coords()
     assert np.max(np.abs(x1 * conn.a[0] + x2 * conn.a[1])) < 1e-12
     assert exponential_gauge_curl_residual(g, conn, f12) < 5e-3

@@ -12,7 +12,8 @@ from smframe.gnls import (GnlsState, check_cfl, connection_from_coordinates,
                           gnls_dissipation, gnls_mass, gnls_rhs,
                           gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
-from smframe.gauge import best_reference_frame, compatibility_residual
+from smframe.gauge import (Connection, Coordinates, best_reference_frame,
+                           compatibility_residual)
 
 
 def test_check_cfl():
@@ -80,14 +81,15 @@ def test_connection_solves_curl_equation_2d():
 
 
 def test_gnls_1d_matches_scalar_nls():
-    # in the 1D zero-connection gauge the system must reduce to cubic NLS
-    g = Grid((256,), (20 * np.pi,))
+    # in the 1D zero-connection gauge the system must reduce to cubic NLS;
+    # at n = 512 the 2/3 rule no longer cuts into the soliton's spectrum
+    g = Grid((512,), (20 * np.pi,))
     q0 = presets.soliton(g, 2.0)
     state = GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=(q0,))
     qs = q0.copy()
     dt = 1e-4
     for _ in range(50):
-        state = gnls_step(state, dt, use_dealias=False)
+        state = gnls_step(state, dt)
         qs = nls1d_step(g, qs, dt, 1)
     assert np.max(np.abs(state.q[0] - qs)) < 1e-9
 
@@ -127,22 +129,6 @@ def test_gnls_step_with_given_k1_is_bit_identical():
     assert all(np.array_equal(a, b) for a, b in zip(given.q, plain.q))
 
 
-def test_parabolic_step_is_exact_on_linear_part():
-    # with the coupling terms disabled the scheme must integrate
-    # dq/dt = mu q_xx exactly (integrating-factor property)
-    g = Grid((64,), (2 * np.pi,))
-    eps = 0.3
-    mu = (eps + 1j) / (1.0 + eps**2)
-    x = g.axis_coord(0)
-    q = np.exp(2j * x) + 0.5 * np.exp(-3j * x)
-    st = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0, q=(q,))
-    dt = 1e-2
-    st = parabolic_gnls_step(st, dt, eps, include_nonlinear=False)
-    expect = (np.exp(2j * x) * np.exp(-mu * 4 * dt)
-              + 0.5 * np.exp(-3j * x) * np.exp(-mu * 9 * dt))
-    assert np.max(np.abs(st.q[0] - expect)) < 1e-13
-
-
 def test_parabolic_energy_never_increases():
     g = Grid((64,), (8 * np.pi,))
     q = presets.random_bandlimited(g, 6, 0.3, 11)
@@ -153,6 +139,19 @@ def test_parabolic_energy_never_increases():
         masses.append(gnls_mass(st))
     assert all(b <= a for a, b in zip(masses, masses[1:]))
     assert gnls_dissipation(st) >= 0.0
+
+
+def test_parabolic_step_keeps_2d_compatibility():
+    # a_0 solves Delta a_0 = d_l kappa <q_l, i q_0> as in the Schroedinger
+    # flow; a drifted a_0 equation raises dq_symmetry to ~1.5e-5 here
+    g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
+    u = presets.sphere_bump_2d(g, 0.5, 1.0)
+    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    for _ in range(20):
+        st = parabolic_gnls_step(st, 2e-5, 0.1)
+    rep = compatibility_residual(geo.SPHERE, g, Coordinates(q=st.q),
+                                 Connection(a=st.connection()))
+    assert rep.dq_symmetry < 1e-6
 
 
 def test_parabolic_step_validates_arguments():

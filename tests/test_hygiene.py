@@ -1,12 +1,15 @@
-"""Every import in the package modules is used (standard library `ast` only).
+"""Package hygiene, checked with the standard library `ast` only.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+Every import in the package modules is used (`__init__.py` is skipped: its
+imports are the package's re-exports), and every defaulted parameter of a
+package function is set by some call in `src/`, `tests/` or `perfbench/`.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "smframe"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smframe"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -26,3 +29,65 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [msg for p in modules for msg in _unused_imports(p)] == []
+
+
+def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each defaulted parameter;
+    a method's positions exclude self."""
+    args = fn.args
+    pos = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(pos) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(pos) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _package_functions():
+    """(module, called name, def, is method); a class's __init__ is called by
+    the class name.  Presets are skipped: `[initial]` sets their parameters
+    by name from a config file."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "presets.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node.name, node, False
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        yield path.name, name, item, not static
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = getattr(f, "id", None) or getattr(f, "attr", None)
+                    if name:
+                        calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_parameter_is_set_somewhere():
+    # a parameter that no call sets is a constant in disguise; calls are
+    # matched by name only, so a shared method name counts for every class
+    calls = _calls_by_name()
+    unset = [f"{module}:{fn.lineno}: {name}({param})"
+             for module, name, fn, method in _package_functions()
+             for position, param in _defaulted_params(fn, method)
+             if not any(_sets(c, position, param) for c in calls.get(name, []))]
+    assert unset == []

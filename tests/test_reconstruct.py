@@ -278,6 +278,23 @@ def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
     assert len(solves) - first <= 5 * 9
 
 
+def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
+    calls = []
+    derive = smframe.gnls.connection_from_coordinates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derive(*args, **kwargs)
+
+    provider = _bump_trajectory(1e-4)
+    monkeypatch.setattr(smframe.gnls, "connection_from_coordinates", counted)
+    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    reconstruct_trajectory(provider, base, 3)
+    # the initial slice shares the first step's k1 derivation; each step
+    # then derives k2, k3, k4, the end stage and the midpoint
+    assert len(calls) == 1 + 5 * 3
+
+
 def _soliton_nls(dt):
     g = Grid((128,), (10 * np.pi,))
     return Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=dt)
