@@ -15,6 +15,9 @@ The parabolic perturbation of the hyperbolic flow,
 
 uses a Lawson integrating-factor Heun step: the dissipative linear part
 eps Lap / (1 + eps^2) is exact in Fourier space, everything else explicit.
+
+The right-hand sides run on `field.gradient` and `field.divergence`; the
+parabolic step hands one d_k u per stage to the flux and the Dirichlet density.
 """
 
 from __future__ import annotations
@@ -25,39 +28,41 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, integrate, lawson_heun, rk4, spectral_derivative
+from .field import Grid, divergence, gradient, integrate, lawson_heun, rk4, roll_axes
 from .gnls import check_cfl
 
 
 @dataclass(frozen=True)
 class MapState:
-    """Immutable map-valued state u(t, x)."""
+    """Immutable map-valued state u(t, x); u is kept component-major, each
+    of its 3 components contiguous in memory behind the (..., 3) shape."""
 
     grid: Grid
     target: geo.Target
     time: float
     u: np.ndarray
 
+    def __post_init__(self):
+        u = np.ascontiguousarray(roll_axes(np.asarray(self.u), 0, -1))
+        object.__setattr__(self, "u", roll_axes(u, 0, 1))
+
     def constraint_max(self) -> float:
         return float(np.max(np.abs(geo.constraint_defect(self.target, self.u))))
 
 
-def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """sum_k d_k J(u x d_k u): the divergence-form right-hand side."""
-    out = np.zeros_like(u)
-    for k in range(grid.dim):
-        flux = geo.j_apply(target, u, spectral_derivative(grid, u, k))
-        out += spectral_derivative(grid, flux, k)
-    return out
+def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray,
+                    du: np.ndarray | None = None) -> np.ndarray:
+    """sum_k d_k J(u x d_k u): the divergence-form right-hand side; du is
+    field.gradient(grid, u) when the caller has it."""
+    du = gradient(grid, u) if du is None else du
+    return divergence(grid, geo.j_apply(target, u, du))
 
 
-def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """sum_k <d_k u, d_k u> in the target metric."""
-    density = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        du = spectral_derivative(grid, u, k)
-        density += geo.inner(target, du, du)
-    return density
+def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray,
+                      du: np.ndarray | None = None) -> np.ndarray:
+    """sum_k <d_k u, d_k u> in the target metric; du as in flux_divergence."""
+    du = gradient(grid, u) if du is None else du
+    return np.sum(geo.inner(target, du, du), axis=0)
 
 
 def heisenberg_step(state: MapState, dt: float) -> MapState:
@@ -101,8 +106,9 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
     nu = epsilon / (1.0 + epsilon**2)
 
     def nonlinear(v):
-        return (flux_divergence(tg, grid, v) / (1.0 + epsilon**2)
-                - nu * dirichlet_density(tg, grid, v)[..., np.newaxis] * v)
+        du = gradient(grid, v)
+        return (flux_divergence(tg, grid, v, du) / (1.0 + epsilon**2)
+                - nu * dirichlet_density(tg, grid, v, du)[..., np.newaxis] * v)
 
     u_new = lawson_heun(grid, state.u, dt, nu, nonlinear)
     return replace(state, time=state.time + dt, u=geo.retract(tg, u_new))

@@ -9,6 +9,11 @@ so they are exact on band-limited data.
 
 Coordinates are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
+
+On real data `gradient`, `divergence` and `lawson_heun` use real transforms
+over the grid axes, component axes moved first (`roll_axes`) so each component
+is one contiguous block.  Odd operators (derivatives, gradient, divergence)
+zero the Nyquist mode; even ones (the Poisson and Lawson factors) keep it.
 """
 
 from __future__ import annotations
@@ -88,11 +93,63 @@ class Grid:
             out = out + self.wavenumber(axis).reshape(shape) ** 2
         return out
 
+    @cached_property
+    def half_k_squared(self) -> np.ndarray:
+        """|k|^2 on the rfftn half spectrum, Nyquist kept (even operators)."""
+        return self.k_squared[..., :self.n[-1] // 2 + 1]
+
+    @cached_property
+    def half_ik(self) -> tuple[np.ndarray, ...]:
+        """Per-axis i k on the rfftn half spectrum, Nyquist zeroed (odd operators)."""
+        return tuple(1j * _bcast(self, axis, k, 0)[..., :self.n[-1] // 2 + 1]
+                     for axis, k in enumerate(self.odd_wavenumbers))
+
+    @cached_property
+    def poisson_denominator(self) -> np.ndarray:
+        """|k|^2 with the zero mode set to 1 (the mode is zeroed after dividing)."""
+        return np.where(self.k_squared == 0.0, 1.0, self.k_squared)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3 rule: True where |k_axis| <= n_axis / 3 on every axis."""
+        keep = [np.abs(np.fft.fftfreq(n) * n) <= n / 3.0 for n in self.n]
+        return np.logical_and.reduce(np.meshgrid(*keep, indexing="ij"))
+
 
 def _bcast(grid: Grid, axis: int, values: np.ndarray, extra_ndim: int) -> np.ndarray:
     shape = [1] * (grid.dim + extra_ndim)
     shape[axis] = grid.n[axis]
     return values.reshape(shape)
+
+
+def roll_axes(f: np.ndarray, lead: int, shift: int) -> np.ndarray:
+    """View of f with its axes after the first `lead` rolled left by `shift`;
+    shift = grid.dim moves the grid axes last, -grid.dim moves them back."""
+    rest = list(range(lead, f.ndim))
+    return f.transpose(*range(lead), *rest[shift:], *rest[:shift])
+
+
+def _rfft(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Real transform over the trailing grid axes (rfftn adds only overhead in 1D)."""
+    return np.fft.rfft(f) if grid.dim == 1 else np.fft.rfftn(f, axes=(-2, -1))
+
+
+def _irfft(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    return (np.fft.irfft(fh, n=grid.n[0]) if grid.dim == 1
+            else np.fft.irfftn(fh, s=grid.shape, axes=(-2, -1)))
+
+
+def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """(d_1 f, ..., d_d f) on a new leading axis for real f: one forward and
+    one inverse real transform for every component and derivative."""
+    fh = _rfft(grid, roll_axes(np.asarray(f), 0, grid.dim))
+    return roll_axes(_irfft(grid, np.stack([ik * fh for ik in grid.half_ik])), 1, -grid.dim)
+
+
+def divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
+    """sum_k d_k flux[k] for real fluxes stacked on a leading axis of length d."""
+    fh = _rfft(grid, roll_axes(np.asarray(flux), 1, grid.dim))
+    return roll_axes(_irfft(grid, sum(ik * fk for ik, fk in zip(grid.half_ik, fh))), 0, -grid.dim)
 
 
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
@@ -104,15 +161,6 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     dfh = 1j * _bcast(grid, axis, k, extra) * fh
     df = np.fft.ifft(dfh, axis=axis)
     return df if np.iscomplexobj(f) else df.real
-
-
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f)
-    extra = f.ndim - grid.dim
-    fh = np.fft.fftn(f, axes=tuple(range(grid.dim)))
-    k2 = grid.k_squared.reshape(grid.shape + (1,) * extra)
-    out = np.fft.ifftn(-k2 * fh, axes=tuple(range(grid.dim)))
-    return out if np.iscomplexobj(f) else out.real
 
 
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -127,9 +175,7 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     if scale > 0 and mean > 1e-10 * scale:
         raise NonZeroMean(f"poisson rhs mean {mean:.3e} exceeds 1e-10 * max {scale:.3e}")
     fh = np.fft.fftn(rhs, axes=tuple(range(grid.dim)))
-    k2 = grid.k_squared.copy()
-    k2.flat[0] = 1.0
-    ph = -fh / k2
+    ph = -fh / grid.poisson_denominator
     ph.flat[0] = 0.0
     out = np.fft.ifftn(ph, axes=tuple(range(grid.dim)))
     return out if np.iscomplexobj(rhs) else out.real
@@ -150,13 +196,8 @@ def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """2/3-rule truncation: zero every mode with |k_axis| > n_axis/3."""
     f = np.asarray(f)
-    extra = f.ndim - grid.dim
     fh = np.fft.fftn(f, axes=tuple(range(grid.dim)))
-    keep = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        modes = np.fft.fftfreq(grid.n[axis]) * grid.n[axis]
-        keep &= _bcast(grid, axis, np.abs(modes) <= grid.n[axis] / 3.0, 0)
-    fh *= keep.reshape(grid.shape + (1,) * extra)
+    fh *= grid.dealias_mask.reshape(grid.shape + (1,) * (f.ndim - grid.dim))
     out = np.fft.ifftn(fh, axes=tuple(range(grid.dim)))
     return out if np.iscomplexobj(f) else out.real
 
@@ -195,14 +236,17 @@ def lawson_heun(grid: Grid, y: np.ndarray, h: float, c: complex,
                 nonlinear) -> np.ndarray:
     """One Lawson (integrating-factor) Heun step of dy/dt = c Lap y + N(y):
     the stiff factor exp(-c |k|^2 h) is exact in Fourier space, and N goes
-    through an explicit trapezoidal corrector.  Real y stays real."""
-    axes = tuple(range(grid.dim))
-    propagator = np.exp(-c * grid.k_squared * h).reshape(
-        grid.shape + (1,) * (y.ndim - grid.dim))
+    through an explicit trapezoidal corrector.  Real y stays real; with a
+    real c it steps on real transforms, its factor keeping the Nyquist mode."""
+    real = not (np.iscomplexobj(y) or np.iscomplexobj(c))
+    axes = tuple(range(-grid.dim, 0))
+    propagator = np.exp(-c * (grid.half_k_squared if real else grid.k_squared) * h)
 
     def apply_linear(v):
-        out = np.fft.ifftn(np.fft.fftn(v, axes=axes) * propagator, axes=axes)
-        return out if np.iscomplexobj(y) else out.real
+        v = roll_axes(v, 0, grid.dim)
+        out = (_irfft(grid, _rfft(grid, v) * propagator) if real
+               else np.fft.ifftn(np.fft.fftn(v, axes=axes) * propagator, axes=axes))
+        return roll_axes(out if np.iscomplexobj(y) else out.real, 0, -grid.dim)
 
     n0 = nonlinear(y)
     predictor = apply_linear(y + h * n0)

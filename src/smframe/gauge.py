@@ -227,10 +227,7 @@ def covariant_derivative(grid: Grid, q: np.ndarray, a: np.ndarray,
 def covariant_divergence(grid: Grid, q: tuple[np.ndarray, ...],
                          a: tuple[np.ndarray, ...]) -> np.ndarray:
     """D_k q_k summed over k."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for k in range(grid.dim):
-        out += covariant_derivative(grid, q[k], a[k], k)
-    return out
+    return sum(covariant_derivative(grid, q[k], a[k], k) for k in range(grid.dim))
 
 
 @dataclass

@@ -75,11 +75,15 @@ def check_on_manifold(target: Target, u: np.ndarray, tol: float = CONSTRAINT_TOL
 
 
 def j_apply(target: Target, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Complex structure J at u: u x v on S^2, eta (u x v) on H^2."""
-    cross = np.cross(u, v)
-    if target.kind == "sphere":
-        return cross
-    return target.metric_diag * cross
+    """Complex structure J at u: u x v on S^2, eta (u x v) on H^2, written
+    out per component (bit-identical to numpy's cross product), each of the
+    3 result components contiguous in memory."""
+    u, v = np.asarray(u), np.asarray(v)
+    u0, u1, u2, v0, v1, v2 = u[..., 0], u[..., 1], u[..., 2], v[..., 0], v[..., 1], v[..., 2]
+    # eta flips the time component
+    first = u1 * v2 - u2 * v1 if target.kind == "sphere" else u2 * v1 - u1 * v2
+    out = np.stack([first, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def project_tangent(target: Target, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import CFLViolation, InvalidStep, SmframeError
-from .field import Grid, dealias, integrate, laplacian, lawson_heun, poisson_solve, \
-    rk4, spectral_derivative
+from .field import Grid, dealias, integrate, lawson_heun, poisson_solve, rk4, \
+    spectral_derivative
 from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
     covariant_divergence, extract_coordinates, remove_mean_connection, rotate_frame
 
@@ -106,30 +106,20 @@ def connection_from_coordinates(target: geo.Target, grid: Grid,
     return (a1, a2)
 
 
-def _anchor(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Shift a potential so it vanishes at the box corner (index 0...0)."""
-    return f - f[(0,) * grid.dim]
-
-
 def covariant_terms(grid: Grid, q: np.ndarray,
                     a: tuple[np.ndarray, ...]) -> tuple[list[np.ndarray], np.ndarray]:
     """Return ([D_k q for each k], D_k D_k q summed over k)."""
-    dq = []
-    lap = np.zeros(grid.shape, dtype=complex)
-    for k in range(grid.dim):
-        cov = covariant_derivative(grid, q, a[k], k)
-        dq.append(cov)
-        lap += covariant_derivative(grid, cov, a[k], k)
-    return dq, lap
+    dq = [covariant_derivative(grid, q, a[k], k) for k in range(grid.dim)]
+    return dq, sum(covariant_derivative(grid, cov, a[k], k) for k, cov in enumerate(dq))
 
 
 def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                q0: np.ndarray) -> np.ndarray:
     """Solve Delta a_0 = d_l f_l0 with f_l0 = kappa <q_l, i q_0>, corner-anchored."""
-    rhs = np.zeros(grid.shape)
-    for l in range(grid.dim):
-        rhs += spectral_derivative(grid, geo.curvature_f(target, q[l], q0), l)
-    return _anchor(grid, poisson_solve(grid, rhs))
+    rhs = sum(spectral_derivative(grid, geo.curvature_f(target, q[l], q0), l)
+              for l in range(grid.dim))
+    a0 = poisson_solve(grid, rhs)
+    return a0 - a0[(0,) * grid.dim]  # vanishes at the box corner (index 0...0)
 
 
 def _derive_fields(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
@@ -247,12 +237,14 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
         raise InvalidStep(f"epsilon must lie in (0, 1], got {epsilon}")
     tg, grid = state.target, state.grid
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
+    mu_k2 = mu * grid.k_squared
 
     def nonlinear(y):
+        # dealias(rhs_l - mu Lap q_l) in one spectral pass per component
         q = _unstack(y)
         _, conn = _derive_fields(tg, grid, q, mu)
         rhs = _covariant_rhs(tg, grid, q, conn, mu)
-        return _stack([dealias(grid, r - mu * laplacian(grid, ql))
+        return _stack([np.fft.ifftn(grid.dealias_mask * (np.fft.fftn(r) + mu_k2 * np.fft.fftn(ql)))
                        for r, ql in zip(rhs, q)])
 
     q = state.q

@@ -53,10 +53,7 @@ def gaussian_bump_chi(grid: Grid, amplitude: float = 0.5,
     chi(x) = A exp(-|x|^2 / (2 w^2)), theta = 0:
     u = (cosh chi, sinh chi, 0), smooth everywhere.
     """
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        r2 = r2 + grid.axis_coord(axis).reshape(
-            [-1 if a == axis else 1 for a in range(grid.dim)]) ** 2
+    r2 = sum(x**2 for x in grid.coords())
     chi = amplitude * np.exp(-r2 / (2.0 * width**2))
     u = np.zeros(grid.shape + (3,))
     u[..., 0] = np.cosh(chi)
@@ -72,8 +69,7 @@ def random_bandlimited(grid: Grid, kmax: int = 4, amplitude: float = 0.1,
     mode, scaled so the max-norm is `amplitude`.  Deterministic in `seed`.
     """
     rng = np.random.default_rng(seed)
-    fh = np.zeros(grid.shape, dtype=complex)
-    fh[...] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    fh = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     for axis, n in enumerate(grid.n):
         modes = np.fft.fftfreq(n, d=1.0 / n).round().astype(int)
         keep = np.abs(modes) <= kmax

@@ -1,0 +1,27 @@
+"""Shared fixtures."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+#: numpy.fft entry points by direction and rank, keyed as the counts are
+_FFT_KINDS = {
+    "fft": "fwd_1d", "rfft": "fwd_1d", "ifft": "inv_1d", "irfft": "inv_1d",
+    "fftn": "fwd_nd", "rfftn": "fwd_nd", "fft2": "fwd_nd", "rfft2": "fwd_nd",
+    "ifftn": "inv_nd", "irfftn": "inv_nd", "ifft2": "inv_nd", "irfft2": "inv_nd",
+}
+
+
+@pytest.fixture
+def fft_census(monkeypatch):
+    """Counter of numpy.fft calls keyed 'fwd_1d', 'inv_1d', 'fwd_nd' and
+    'inv_nd'; clear() it right before the code under count.  Transforms
+    that numpy makes internally (fftn's per-axis passes) are not counted."""
+    counts = Counter()
+    for name, key in _FFT_KINDS.items():
+        def counted(*args, _transform=getattr(np.fft, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

@@ -146,3 +146,13 @@ def test_convergence_order():
     assert convergence_order(1.0, 0.25) == pytest.approx(2.0)
     assert convergence_order(1e-4, 1e-4 / 16, refinement=2.0) == pytest.approx(4.0)
     assert convergence_order(1.0, 0.0) == math.inf
+
+
+def test_energy_map_takes_one_real_transform_pair(fft_census):
+    # one gradient serves both derivatives; per-axis complex derivatives
+    # took 2 + 2 1-D transforms
+    g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
+    st = _state(geo.HYPERBOLIC, g, presets.gaussian_bump_chi(g, 0.5, 0.8))
+    fft_census.clear()
+    assert energy_map(st) > 0.0
+    assert fft_census == {"fwd_nd": 1, "inv_nd": 1}

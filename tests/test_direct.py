@@ -115,3 +115,27 @@ def test_map_moment_conventions():
     assert np.allclose(map_moment(st), [0.0, 0.0, 2.0])
     st = _constant_state(geo.HYPERBOLIC, g)
     assert np.allclose(map_moment(st), [0.0, 0.0, 0.0])
+
+
+def test_parabolic_step_takes_six_real_transform_pairs(fft_census):
+    # per Lawson stage one gradient and one divergence, plus the linear
+    # factor twice; per-axis complex derivatives took 12 + 12 1-D and
+    # 2 + 2 n-D transforms
+    g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
+    st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
+                  u=presets.gaussian_bump_chi(g, 0.5, 0.8))
+    fft_census.clear()
+    parabolic_sm_step(st, 1e-4, 0.1)
+    assert fft_census == {"fwd_nd": 6, "inv_nd": 6}
+
+
+@pytest.mark.parametrize("target,step", [
+    (geo.SPHERE, heisenberg_step), (geo.HYPERBOLIC, hyperbolic_sm_step),
+    (geo.HYPERBOLIC, lambda st, dt: parabolic_sm_step(st, dt, 0.1))])
+def test_steppers_keep_components_contiguous(target, step):
+    g = Grid((32, 16), (4 * np.pi, 4 * np.pi))
+    u = (presets.sphere_bump_2d(g, 0.5, 1.0) if target.kind == "sphere"
+         else presets.gaussian_bump_chi(g, 0.5, 0.8))
+    st = step(MapState(grid=g, target=target, time=0.0, u=u), 1e-4)
+    assert st.u.shape == g.shape + (3,)
+    assert all(st.u[..., c].flags.c_contiguous for c in range(3))

@@ -2,12 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe.errors import FormatError, NonZeroMean
-from smframe.field import (Grid, dealias, fractional_shift, integrate,
-                           laplacian, lawson_heun, poisson_solve, rk4,
-                           spectral_derivative)
+from smframe.field import (Grid, dealias, divergence, fractional_shift,
+                           gradient, integrate, lawson_heun,
+                           poisson_solve, rk4, spectral_derivative)
 from smframe.snapshot import read_snapshot, write_snapshot
 
 
@@ -52,7 +54,7 @@ def test_laplacian_and_poisson_roundtrip():
     g = Grid((32, 32), (2 * np.pi, 2 * np.pi))
     x1, x2 = g.coords()
     phi = np.sin(x1) * np.cos(2 * x2)
-    rhs = laplacian(g, phi)
+    rhs = divergence(g, gradient(g, phi))
     back = poisson_solve(g, rhs)
     assert np.max(np.abs(back - phi)) < 1e-12  # phi is mean-zero already
 
@@ -132,6 +134,62 @@ def test_lawson_heun_is_exact_on_linear_part():
     expect = (np.exp(2j * x) * np.exp(-mu * 4 * dt)
               + 0.5 * np.exp(-3j * x) * np.exp(-mu * 9 * dt))
     assert np.max(np.abs(out - expect)) < 1e-13
+
+
+_grids = hst.builds(
+    lambda n, lengths: Grid(n, lengths[:len(n)]),
+    hst.sampled_from([(16,), (32,), (64,), (16, 16), (32, 16), (16, 32)]),
+    hst.tuples(hst.floats(1.0, 20.0), hst.floats(1.0, 20.0)))
+
+
+def _real_field(grid, seed, nyquist, lead=(), extra=()):
+    """Random real samples (every mode up to Nyquist carries energy) plus
+    `nyquist` times the Nyquist mode cos(pi j) of each axis."""
+    f = np.random.default_rng(seed).standard_normal(lead + grid.shape + extra)
+    for axis, n in enumerate(grid.n):
+        shape = [1] * f.ndim
+        shape[len(lead) + axis] = n
+        f += nyquist * ((-1.0) ** np.arange(n)).reshape(shape)
+    return f
+
+
+def _rel_err(got, expect):
+    return np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
+       extra=hst.sampled_from([(), (3,)]))
+def test_gradient_and_divergence_match_per_axis_derivatives(grid, seed, nyquist, extra):
+    f = _real_field(grid, seed, nyquist, extra=extra)
+    expect = np.stack([spectral_derivative(grid, f, k) for k in range(grid.dim)])
+    got = gradient(grid, f)
+    assert got.shape == expect.shape
+    assert _rel_err(got, expect) < 1e-13
+
+    flux = _real_field(grid, seed + 1, nyquist, lead=(grid.dim,), extra=extra)
+    expect = sum(spectral_derivative(grid, flux[k], k) for k in range(grid.dim))
+    got = divergence(grid, flux)
+    assert got.shape == expect.shape
+    assert _rel_err(got, expect) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
+       extra=hst.sampled_from([(), (3,)]), h=hst.floats(1e-3, 1e-1),
+       c=hst.floats(0.05, 1.0))
+def test_real_lawson_heun_matches_complex_path(grid, seed, nyquist, extra, h, c):
+    # the real path's factor must keep the Nyquist mode of |k|^2, as the
+    # complex path does; the data carry energy there to tell them apart
+    y = _real_field(grid, seed, nyquist, extra=extra)
+
+    def nonlinear(v):
+        return 0.5 * v - 0.1 * v**3
+
+    real = lawson_heun(grid, y, h, c, nonlinear)
+    assert not np.iscomplexobj(real)
+    expect = lawson_heun(grid, y.astype(complex), h, c, nonlinear).real
+    assert _rel_err(real, expect) < 1e-14
 
 
 def test_snapshot_roundtrip(tmp_path):

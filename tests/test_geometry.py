@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe.errors import DegenerateRetraction, FrameInvalid
@@ -122,3 +124,65 @@ def test_geodesic_distance_accurate_for_nearby_points():
     b = geo.retract(geo.SPHERE, np.array([1.0, eps, 0.0]))
     d = geo.geodesic_distance(geo.SPHERE, a, b)
     assert abs(d - eps) < 1e-15 + 1e-6 * eps
+
+
+EPS = np.finfo(float).eps
+_targets = hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC])
+_seeds = hst.integers(0, 2**32 - 1)
+
+
+def _points(target, rng, shape, spread):
+    """Random points of the target: normalized Gaussians on S^2, lifted
+    planar Gaussians (u0 = sqrt(1 + |x|^2)) on H^2."""
+    if target.kind == "sphere":
+        return geo.retract(target, rng.standard_normal(shape + (3,)))
+    x = spread * rng.standard_normal(shape + (2,))
+    return np.concatenate([np.sqrt(1.0 + np.sum(x * x, axis=-1, keepdims=True)), x], axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=_targets, seed=_seeds, shapes=hst.sampled_from([
+    ((3,), (3,)), ((7, 3), (7, 3)), ((3,), (4, 3)), ((4, 1, 3), (1, 5, 3)),
+    ((6, 3), (2, 6, 3)), ((4, 5, 3), (2, 4, 5, 3))]))
+def test_j_apply_is_eta_cross_on_broadcast_shapes(target, seed, shapes):
+    # the last pair is u of shape (..., 3) against a (d, ..., 3) gradient
+    rng = np.random.default_rng(seed)
+    u, v = (rng.standard_normal(shape) for shape in shapes)
+    got = geo.j_apply(target, u, v)
+    expect = target.metric_diag * np.cross(u, v)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(u)) * np.max(np.abs(v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=_targets, seed=_seeds, spread=hst.floats(0.0, 3.0))
+def test_j_squares_to_minus_one_on_random_tangents(target, seed, spread):
+    rng = np.random.default_rng(seed)
+    u = _points(target, rng, (16,), spread)
+    v = geo.project_tangent(target, u, rng.standard_normal((16, 3)))
+    jjv = geo.j_apply(target, u, geo.j_apply(target, u, v))
+    scale = np.max(np.abs(u), axis=-1, keepdims=True) ** 2 * np.max(np.abs(v))
+    assert np.all(np.abs(jjv + v) <= 1e-13 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=_targets, seed=_seeds, spread=hst.floats(0.0, 3.0),
+       scale=hst.floats(0.1, 10.0))
+def test_retract_is_idempotent(target, seed, spread, scale):
+    rng = np.random.default_rng(seed)
+    u = geo.retract(target, scale * _points(target, rng, (16,), spread))
+    # the Lorentz norm cancels |u|^2 down to 1, so round-off scales with |u|^2
+    cond = np.max(np.sum(u * u, axis=-1))
+    assert np.max(np.abs(geo.constraint_defect(target, u))) <= 8 * EPS * cond
+    again = geo.retract(target, u)
+    assert np.max(np.abs(again - u)) <= 8 * EPS * cond * np.max(np.abs(u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=_targets, seed=_seeds, spread=hst.floats(0.0, 3.0))
+def test_geodesic_distance_is_symmetric(target, seed, spread):
+    rng = np.random.default_rng(seed)
+    u, v = (_points(target, rng, (16,), spread) for _ in range(2))
+    d = geo.geodesic_distance(target, u, v)
+    assert np.all(d >= 0.0)
+    assert np.array_equal(d, geo.geodesic_distance(target, v, u))

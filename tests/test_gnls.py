@@ -154,6 +154,19 @@ def test_parabolic_step_keeps_2d_compatibility():
     assert rep.dq_symmetry < 1e-6
 
 
+def test_parabolic_step_dealiases_in_one_spectral_pass(fft_census):
+    # per component and Heun stage the nonlinearity transforms rhs_l and
+    # q_l and takes one inverse; a separate Laplacian pass took 16 inverse
+    g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
+    u = presets.sphere_bump_2d(g, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # MeanHolonomy of the small box
+        st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    fft_census.clear()
+    parabolic_gnls_step(st, 2e-5, 0.1)
+    assert fft_census == {"fwd_1d": 28, "inv_1d": 28, "fwd_nd": 16, "inv_nd": 12}
+
+
 def test_parabolic_step_validates_arguments():
     g = Grid((64,), (2 * np.pi,))
     st = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0,
