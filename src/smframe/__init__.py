@@ -27,9 +27,8 @@ from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
 from .direct import (MapState, heisenberg_step, hyperbolic_sm_step,
                      hyperbolic_view, map_moment, parabolic_sm_step)
 from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
-                          Nls1dTrajectory, initial_data_sweep,
-                          reconstruct_trajectory, sm_residual,
-                          time_evolve_point, uniqueness_gap)
+                          initial_data_sweep, reconstruct_trajectory,
+                          sm_residual, time_evolve_point, uniqueness_gap)
 from .diagnostics import (DiagnosticsLog, DiagnosticsRow, EquivalenceReport,
                           convergence_order, energy_map, equivalence_report,
                           read_diagnostics)

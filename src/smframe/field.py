@@ -42,8 +42,8 @@ class Grid:
             if n < 16 or n & (n - 1):
                 raise ValueError(f"points per axis must be a power of two >= 16, got {n}")
         for ln in self.length:
-            if ln <= 0:
-                raise ValueError("box length must be positive")
+            if not 0 < ln < np.inf:
+                raise ValueError(f"box length must be positive and finite, got {ln}")
 
     @property
     def dim(self) -> int:

@@ -128,7 +128,9 @@ def coulomb_fix(grid: Grid, coords: Coordinates,
     it, which is the parallel gauge.
     """
     div = sum(spectral_derivative(grid, ak, axis) for axis, ak in enumerate(conn.a))
-    theta = poisson_solve(grid, -div)
+    # mean-free by construction: on Coulomb data div is round-off whose own
+    # mean would fail poisson_solve's solvability check, so remove it
+    theta = poisson_solve(grid, np.mean(div) - div)
     q, a = gauge_transform(grid, coords, conn, theta)
     return q, a, theta
 

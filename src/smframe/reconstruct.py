@@ -8,12 +8,14 @@ plus one base point (m, v0), integrate
 
 first along the spatial axes from the box center (axis 1 through the
 center line, then axis 2 from every point of that line), then pointwise in
-time using (q_0, a_0) at each step's start, midpoint and end.  The frame
-F = [u, e, Je] obeys the linear equation F' = F A with A in so(3) (S^2) or
-so(2,1) (H^2), so each step is a 4th-order Magnus step whose exponential
-has a closed form and keeps F on its group to round-off.  The sweep
-retracts and re-orthonormalizes once, at its output; the time transport
-does so after every step.
+time using (q_0, a_0) at each step's start, midpoint and end.  The time
+data come from one trajectory, the Coulomb-gauge GNLS (`GnlsTrajectory`);
+in 1D its a_1 = 0 and it is the cubic NLS.  The frame F = [u, e, Je]
+obeys the linear equation F' = F A with A in so(3) (S^2) or so(2,1)
+(H^2), so each step is a 4th-order Magnus step whose exponential has a
+closed form (`_propagator`, shared by both transports) and keeps F on its
+group to round-off.  The sweep retracts and re-orthonormalizes once, at
+its output; the time transport does so after every step.
 
 The construction lives on the torus while the underlying identities hold
 on R^d, so the spatial sweep need not close up; the wrap-around mismatch
@@ -23,15 +25,14 @@ is measured and reported as `periodicity_defect`, never hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Protocol
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidStep
-from .field import Grid, fractional_shift, spectral_derivative
+from .field import Grid, fractional_shift
 from .gauge import Connection, Coordinates
-from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step, nls1d_step
+from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,13 @@ def _magnus_generator(kappa: int, h: float, start, mid, end):
     return z, w3
 
 
-def _exp_coefficients(kappa: int, z: np.ndarray,
-                      w3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f1, f2) with exp(A(w)) = I + f1 A(w) + f2 A(w)^2, from A^3 = c A with
-    c = -(kappa (w1^2 + w2^2) + w3^2): sin r / r and (1 - cos r) / r^2 for
-    c = -r^2, sinh r / r and (cosh r - 1) / r^2 for c = r^2."""
-    c = -(kappa * (z.real * z.real + z.imag * z.imag) + w3 * w3)
+def _propagator(kappa: int, z: np.ndarray, w3: np.ndarray) -> np.ndarray:
+    """exp(A(w)) = I + f1 A(w) + f2 A(w)^2 as (..., 3, 3), its nine entries
+    written out from w.  A^3 = c A with c = -(kappa (w1^2 + w2^2) + w3^2)
+    gives f1 = sin r / r and f2 = (1 - cos r) / r^2 for c = -r^2, and
+    sinh r / r and (cosh r - 1) / r^2 for c = r^2."""
+    w1, w2 = z.real, z.imag
+    c = -(kappa * (w1 * w1 + w2 * w2) + w3 * w3)
     f1 = 1.0 + c * (1 / 6 + c * (1 / 120 + c * (1 / 5040 + c / 362880)))
     f2 = 0.5 + c * (1 / 24 + c * (1 / 720 + c * (1 / 40320 + c / 3628800)))
     big = np.abs(c) >= _SERIES_CUT
@@ -97,13 +99,6 @@ def _exp_coefficients(kappa: int, z: np.ndarray,
         rot = cb < 0
         f1[big] = np.where(rot, np.sin(r), np.sinh(r)) / r
         f2[big] = 2.0 * (np.where(rot, np.sin(0.5 * r), np.sinh(0.5 * r)) / r) ** 2
-    return f1, f2
-
-
-def _propagator(kappa: int, z: np.ndarray, w3: np.ndarray) -> np.ndarray:
-    """exp(A(w)) as (..., 3, 3), its nine entries written out from w."""
-    f1, f2 = _exp_coefficients(kappa, z, w3)
-    w1, w2 = z.real, z.imag
     m = np.empty(w3.shape + (3, 3))
     m[..., 0, 0] = 1.0 - kappa * f2 * (w1 * w1 + w2 * w2)
     m[..., 0, 1] = -kappa * (f1 * w1 + f2 * w2 * w3)
@@ -221,86 +216,26 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
     kappa = target.kappa
-    z, w3 = _magnus_generator(kappa, dt, *stages)
-    f1, f2 = _exp_coefficients(kappa, z, w3)
-    w1, w2, w3, f1, f2 = (t[..., np.newaxis] for t in (z.real, z.imag, w3, f1, f2))
-    # the columns of F A(w), then the u and e columns of F A(w)^2
-    je = geo.j_apply(target, u, e)
-    au = w1 * e + w2 * je
-    ae = w3 * je - kappa * w1 * u
-    aj = -kappa * w2 * u - w3 * e
-    u = u + f1 * au + f2 * (w1 * ae + w2 * aj)
-    e = e + f1 * ae + f2 * (w3 * aj - kappa * w1 * au)
-    u = geo.retract(target, u)
-    return u, geo.orthonormalize_frame(target, u, e)
-
-
-class TrajectoryProvider(Protocol):
-    """Gauge-side trajectory that serves (q0, a0) at a step's start, midpoint
-    and end."""
-
-    grid: Grid
-    target: geo.Target
-    dt: float
-
-    def initial_coordinates(self) -> tuple[Coordinates, Connection]: ...
-
-    def advance(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Step the trajectory by dt and return [(q0, a0)] at t, t+dt/2, t+dt."""
-        ...
-
-
-@dataclass
-class Nls1dTrajectory:
-    """1D NLS trajectory in the parallel gauge a_1 = 0, a_0 = -kappa |q|^2 / 2."""
-
-    grid: Grid
-    q: np.ndarray
-    dt: float
-    target: geo.Target = geo.SPHERE
-    #: (q, its (q0, a0)) at the end of the last step, the next step's start
-    _end = (None, None)
-
-    def _fields(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q0 = 1j * spectral_derivative(self.grid, q, 0)
-        a0 = -0.5 * self.target.kappa * np.abs(q) ** 2
-        return q0, a0
-
-    def initial_coordinates(self) -> tuple[Coordinates, Connection]:
-        return Coordinates(q=(self.q,)), Connection(a=(np.zeros(self.grid.shape),))
-
-    def advance(self):
-        q_t, kappa = self.q, self.target.kappa
-        q_mid = nls1d_step(self.grid, q_t, self.dt / 2.0, kappa)
-        self.q = nls1d_step(self.grid, q_mid, self.dt / 2.0, kappa)
-        start = self._end[1] if self._end[0] is q_t else self._fields(q_t)
-        self._end = (self.q, self._fields(self.q))
-        return [start, self._fields(q_mid), self._end[1]]
+    frame = np.stack([u, e, geo.j_apply(target, u, e)], axis=-1)  # columns u, e, Je
+    # only the new u and e columns are kept; Je is rebuilt from them
+    frame = frame @ _propagator(kappa, *_magnus_generator(kappa, dt, *stages))[..., :2]
+    u = geo.retract(target, frame[..., 0])
+    return u, geo.orthonormalize_frame(target, u, frame[..., 1])
 
 
 @dataclass
 class GnlsTrajectory:
     """Coulomb-gauge GNLS trajectory: one RK4 step per dt, with the midpoint
-    data from cubic Hermite dense output."""
+    data from cubic Hermite dense output.  In 1D (a_1 = 0) this is the
+    cubic NLS of the Hasimoto picture."""
 
     state: GnlsState
     dt: float
     #: (state, gnls_rhs(state)) at the end of the last step, the next k1
     _end = (None, None)
 
-    @property
-    def grid(self) -> Grid:
-        return self.state.grid
-
-    @property
-    def target(self) -> geo.Target:
-        return self.state.target
-
-    def initial_coordinates(self) -> tuple[Coordinates, Connection]:
-        # the first advance() reuses this derivation through the state's memo
-        return self.state.fields()
-
-    def advance(self):
+    def advance(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Step the trajectory by dt and return [(q0, a0)] at t, t+dt/2, t+dt."""
         s0, dt = self.state, self.dt
         f0 = self._end[1] if self._end[0] is s0 else gnls_rhs(s0)
         s1 = gnls_step(s0, dt, k1=f0)
@@ -313,22 +248,24 @@ class GnlsTrajectory:
         return [(coords.q0, conn.a0) for coords, conn in fields]
 
 
-def reconstruct_trajectory(provider: TrajectoryProvider, base: BasePointData,
+def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
                            n_steps: int, snapshot_every: int = 1
                            ) -> list[MapFrameState]:
     """Sweep the initial slice, then transport every grid point in time.
 
     Returns states at t = 0 and every `snapshot_every`-th step.
     """
-    coords, conn = provider.initial_coordinates()
-    state = initial_data_sweep(provider.target, provider.grid, coords, conn, base)
+    start = trajectory.state
+    # the first advance() reuses this derivation through the state's memo
+    coords, conn = start.fields()
+    state = initial_data_sweep(start.target, start.grid, coords, conn, base)
     out = [state]
     u, e = state.u, state.e
     for step in range(n_steps):
-        stages = provider.advance()
-        u, e = time_evolve_point(provider.target, u, e, stages, provider.dt)
+        stages = trajectory.advance()
+        u, e = time_evolve_point(start.target, u, e, stages, trajectory.dt)
         if (step + 1) % snapshot_every == 0:
-            out.append(replace(state, time=(step + 1) * provider.dt, u=u, e=e))
+            out.append(replace(state, time=(step + 1) * trajectory.dt, u=u, e=e))
     return out
 
 

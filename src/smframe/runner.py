@@ -23,8 +23,8 @@ from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
 from .errors import ConfigError
 from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
 from .geometry import SPHERE, constraint_defect
-from .reconstruct import (BasePointData, GnlsTrajectory, Nls1dTrajectory,
-                          reconstruct_trajectory, sm_residual)
+from .reconstruct import (BasePointData, GnlsTrajectory, reconstruct_trajectory,
+                          sm_residual)
 from .snapshot import read_snapshot, write_snapshot
 
 FIELD_PRESETS = {
@@ -187,20 +187,21 @@ def _run_direct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog,
     _write_final(cfg, outdir, state.time, {"u": state.u})
 
 
-def _make_provider(cfg: RunConfig):
+def _trajectory(cfg: RunConfig) -> GnlsTrajectory:
     if cfg.preset in FIELD_PRESETS:
-        if cfg.grid.dim != 1 or cfg.target is not SPHERE:
+        if cfg.grid.dim != 1 or cfg.target != SPHERE:
             raise ConfigError("initial.preset",
                               "field presets reconstruct 1D sphere maps only")
-        return Nls1dTrajectory(grid=cfg.grid, q=initial_field(cfg), dt=cfg.dt)
-    state, _ = _seed_gnls(cfg, initial_map(cfg))
+        state = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (initial_field(cfg),))
+    else:
+        state, _ = _seed_gnls(cfg, initial_map(cfg))
     return GnlsTrajectory(state=state, dt=cfg.dt)
 
 
 def _run_reconstruct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
-    provider = _make_provider(cfg)
     base = BasePointData(m=cfg.base_m, v0=cfg.base_v0)
-    states = reconstruct_trajectory(provider, base, cfg.n_steps, cfg.snapshot_every)
+    states = reconstruct_trajectory(_trajectory(cfg), base, cfg.n_steps,
+                                    cfg.snapshot_every)
     gap_dt = cfg.dt * cfg.snapshot_every
     for i, st in enumerate(states):
         if i == 0:
@@ -223,10 +224,10 @@ def _run_roundtrip(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> No
     _run_direct(cfg, outdir, log, direct_states)
     u0 = direct_states[0].u
     gstate, e_fixed = _seed_gnls(cfg, u0)
-    provider = GnlsTrajectory(state=gstate, dt=cfg.dt)
     center = cfg.grid.center_index
     base = BasePointData(m=u0[center], v0=e_fixed[center])
-    recon = reconstruct_trajectory(provider, base, cfg.n_steps, cfg.snapshot_every)
+    recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
+                                   cfg.n_steps, cfg.snapshot_every)
     report = diag.equivalence_report(direct_states, recon)
     summary = {
         "times": report.times,

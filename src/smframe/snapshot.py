@@ -7,6 +7,10 @@ Layout (all little-endian):
     name length u16 | UTF-8 name | element kind u8 | row-major f64 payload.
 Element kinds: 0 real scalar, 1 complex scalar (re,im interleaved per
 point), 2 three-vector (components contiguous per point).
+
+Malformed snapshots raise `FormatError`.  Version 1 stores no field
+count, so a file cut exactly at a field-block boundary reads as a valid
+snapshot with fewer fields; every other cut is an error.
 """
 
 from __future__ import annotations
@@ -112,7 +116,11 @@ def read_snapshot(path) -> Snapshot:
             if len(head) != 2:
                 raise FormatError("truncated field-name length", fh.tell() - len(head))
             (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, "field name").decode("utf-8")
+            raw = _read_exact(fh, name_len, "field name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError("field name is not UTF-8", fh.tell() - name_len) from exc
             (kind,) = struct.unpack("<B", _read_exact(fh, 1, "element kind"))
             per_point = {0: 1, 1: 2, 2: 3}.get(kind)
             if per_point is None:

@@ -5,12 +5,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from smframe import cli
+
 #: numpy.fft entry points by direction and rank, keyed as the counts are
 _FFT_KINDS = {
     "fft": "fwd_1d", "rfft": "fwd_1d", "ifft": "inv_1d", "irfft": "inv_1d",
     "fftn": "fwd_nd", "rfftn": "fwd_nd", "fft2": "fwd_nd", "rfft2": "fwd_nd",
     "ifftn": "inv_nd", "irfftn": "inv_nd", "ifft2": "inv_nd", "irfft2": "inv_nd",
 }
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _cli_allocator_thresholds():
+    """Run every test under the glibc allocator thresholds the CLI sets, so
+    a stepper's time does not depend on which tests ran before it."""
+    cli._keep_freed_memory()
 
 
 @pytest.fixture

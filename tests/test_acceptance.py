@@ -24,7 +24,7 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
 from smframe.gnls import (GnlsState, gnls_dissipation, gnls_mass,
                           gnls_seed_from_map, gnls_step, nls1d_mass,
                           nls1d_step, parabolic_gnls_step)
-from smframe.reconstruct import (BasePointData, Nls1dTrajectory,
+from smframe.reconstruct import (BasePointData, GnlsTrajectory,
                                  initial_data_sweep, reconstruct_trajectory,
                                  sm_residual)
 
@@ -56,9 +56,15 @@ def test_criterion_01_soliton_fidelity():
 
 # -- 2 ----------------------------------------------------------------------
 
+def _soliton_trajectory(g: Grid, dt: float) -> GnlsTrajectory:
+    # in 1D the Coulomb-gauge GNLS (a_1 = 0) is the cubic NLS
+    q = (presets.soliton(g, 2.0),)
+    return GnlsTrajectory(GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=q), dt)
+
+
 def _soliton_reconstruction_residual(n: int, dt: float, t_end: float) -> float:
     g = Grid((n,), (40 * np.pi,))
-    provider = Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=dt)
+    provider = _soliton_trajectory(g, dt)
     base = BasePointData(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     states = reconstruct_trajectory(provider, base, int(round(t_end / dt)))
     return sm_residual(geo.SPHERE, g, tuple(states[-3:]), dt)
@@ -262,8 +268,7 @@ def test_criterion_09_equivariance():
     v0 = np.array([1.0, 0.0, 0.0])
 
     def run(base):
-        provider = Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=1e-3)
-        return reconstruct_trajectory(provider, base, 20)
+        return reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 20)
 
     run_a = run(BasePointData(m, v0))
     run_b = run(BasePointData(R @ m, R @ v0))

@@ -92,6 +92,28 @@ length = 12.566370614359172
 preset = sphere-bump
 """
 
+SOLITON_RECONSTRUCT_CFG = """
+[run]
+experiment = reconstruct
+target = sphere
+dt = 1e-3
+t_end = 2e-2
+snapshot_every = 5
+run_id = rebuild
+
+[grid]
+n = 256
+length = 62.83185307179586
+
+[initial]
+preset = soliton
+b = 2.0
+
+[base]
+m = 0, 0, 1
+v0 = 1, 0, 0
+"""
+
 
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -147,6 +169,15 @@ def test_non_finite_dt_is_config_error(tmp_path, capsys, dt):
     assert not (tmp_path / "demo.diag.csv").exists()
 
 
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_non_finite_box_length_is_config_error(tmp_path, capsys, length):
+    cfg = _write(tmp_path, NLS1D_CFG.replace("length = 62.83185307179586",
+                                             f"length = {length}"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "demo.diag.csv").exists()
+
+
 def test_unknown_experiment_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, NLS1D_CFG.replace("experiment = nls1d",
                                              "experiment = magic"))
@@ -192,6 +223,17 @@ def test_roundtrip_subcommand(tmp_path):
     assert snap.time == pytest.approx(1e-3)
     assert snap.fields["u"].shape == (64, 3)
     assert np.max(np.abs(np.sum(snap.fields["u"] ** 2, axis=-1) - 1.0)) < 1e-12
+
+
+def test_field_preset_reconstruct_runs(tmp_path):
+    cfg = _write(tmp_path, SOLITON_RECONSTRUCT_CFG)
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 0
+    rows = read_diagnostics(tmp_path / "rebuild.diag.csv")
+    assert [r.time for r in rows] == pytest.approx([5e-3, 1e-2, 1.5e-2, 2e-2])
+    assert all(r.constraint_max < 1e-8 for r in rows)
+    snap = read_snapshot(tmp_path / "rebuild.final.smfs")
+    assert snap.time == pytest.approx(2e-2)
+    assert snap.fields["u"].shape == snap.fields["e"].shape == (256, 3)
 
 
 def test_roundtrip_rejects_other_experiments(tmp_path, capsys):

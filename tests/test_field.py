@@ -20,6 +20,9 @@ def test_grid_validation():
         Grid((48,), (1.0,))  # not a power of two
     with pytest.raises(ValueError):
         Grid((32,), (-1.0,))
+    for length in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Grid((32, 32), (1.0, length))
     with pytest.raises(ValueError):
         Grid((32, 32, 32), (1.0, 1.0, 1.0))
 
@@ -208,6 +211,95 @@ def test_snapshot_roundtrip(tmp_path):
     assert snap.time == 1.25
     for name, arr in fields.items():
         assert np.array_equal(snap.fields[name], arr)
+
+
+def _header_bytes(dim: int) -> int:
+    """magic, version, target kind, dim, then n, length per axis and time"""
+    return 4 + 6 + 16 * dim + 8
+
+
+_FIELD_KINDS = {"real": (), "complex": (), "vector": (3,)}
+
+
+@hst.composite
+def _snapshots(draw):
+    dim = draw(hst.sampled_from([1, 2]))
+    g = Grid(tuple(draw(hst.sampled_from([16, 32])) for _ in range(dim)),
+             tuple(draw(hst.floats(1e-3, 1e3)) for _ in range(dim)))
+    target = draw(hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]))
+    time = draw(hst.floats(allow_nan=False))
+    kinds = draw(hst.dictionaries(hst.text(max_size=6), hst.sampled_from(list(_FIELD_KINDS)),
+                                  max_size=3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    fields = {}
+    for name, kind in kinds.items():
+        fields[name] = rng.standard_normal(g.shape + _FIELD_KINDS[kind])
+        if kind == "complex":
+            fields[name] = fields[name] + 1j * rng.standard_normal(g.shape)
+    return g, target, time, fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(snap=_snapshots())
+def test_snapshot_write_read_is_identity(tmp_path_factory, snap):
+    g, target, time, fields = snap
+    path = tmp_path_factory.mktemp("snap") / "state.smfs"
+    write_snapshot(path, g, target, time, fields)
+    back = read_snapshot(path)
+    assert (back.grid, back.target, back.time) == (g, target, time)
+    assert list(back.fields) == list(fields)
+    for name, arr in fields.items():
+        assert back.fields[name].dtype == arr.dtype
+        assert np.array_equal(back.fields[name], arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(snap=_snapshots(), draw=hst.data())
+def test_snapshot_truncation_is_format_error(tmp_path_factory, snap, draw):
+    g, target, time, fields = snap
+    path = tmp_path_factory.mktemp("snap") / "state.smfs"
+    write_snapshot(path, g, target, time, fields)
+    data = path.read_bytes()
+    # a cut at a field-block boundary leaves a valid snapshot of the fields
+    # before it (format v1 stores no field count); any other cut is an error
+    boundaries = [_header_bytes(g.dim)]
+    for name, arr in fields.items():
+        payload = arr.size * (2 if np.iscomplexobj(arr) else 1)
+        boundaries.append(boundaries[-1] + 2 + len(name.encode()) + 1 + 8 * payload)
+    assert boundaries[-1] == len(data)
+    for kept, offset in enumerate(boundaries[:-1]):
+        path.write_bytes(data[:offset])
+        assert list(read_snapshot(path).fields) == list(fields)[:kept]
+    offset = draw.draw(hst.integers(0, len(data) - 1).filter(
+        lambda k: k not in boundaries), label="offset")
+    path.write_bytes(data[:offset])
+    with pytest.raises(FormatError):
+        read_snapshot(path)
+
+
+def test_snapshot_non_utf8_field_name_is_format_error(tmp_path):
+    g = Grid((16,), (1.0,))
+    path = tmp_path / "name.smfs"
+    write_snapshot(path, g, geo.SPHERE, 0.0, {"f": np.zeros(g.shape)})
+    data = bytearray(path.read_bytes())
+    name_at = _header_bytes(1) + 2
+    data[name_at] = 0xFF
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as err:
+        read_snapshot(path)
+    assert err.value.offset == name_at
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf])
+def test_snapshot_non_finite_box_length_is_format_error(tmp_path, length):
+    g = Grid((16,), (1.0,))
+    path = tmp_path / "box.smfs"
+    write_snapshot(path, g, geo.SPHERE, 0.0, {"f": np.zeros(g.shape)})
+    data = bytearray(path.read_bytes())
+    data[18:26] = struct.pack("<d", length)  # the one box length
+    path.write_bytes(data)
+    with pytest.raises(FormatError):
+        read_snapshot(path)
 
 
 def test_snapshot_bad_magic_reports_offset(tmp_path):

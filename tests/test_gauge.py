@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe import presets
@@ -82,6 +84,49 @@ def test_gauge_transform_group_law_and_modulus():
     # inverse transform restores the input
     back = gauge_transform(g, *both, -(th1 + th2))
     assert np.max(np.abs(back[0].q[0] - coords.q[0])) < 1e-12
+
+
+@hst.composite
+def _bandlimited_gauge_data(draw):
+    """A grid, band-limited (q, a) on it and two band-limited real angles."""
+    dim = draw(hst.sampled_from([1, 2]))
+    g = Grid((32,) * dim, (draw(hst.floats(2.0, 40.0)),) * dim)
+
+    def field(amplitude):
+        return presets.random_bandlimited(
+            g, kmax=draw(hst.integers(1, 8)), amplitude=amplitude,
+            seed=draw(hst.integers(0, 2**32 - 1)))
+
+    coords = Coordinates(q=tuple(field(1.0) for _ in range(dim)))
+    conn = Connection(a=tuple(field(1.0).real for _ in range(dim)))
+    amplitudes = hst.floats(0.0, 5.0)
+    th1, th2 = field(draw(amplitudes)).real, field(draw(amplitudes)).real
+    return g, coords, conn, th1, th2
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=_bandlimited_gauge_data())
+def test_gauge_group_law_on_bandlimited_angles(data):
+    g, coords, conn, th1, th2 = data
+    one = gauge_transform(g, *gauge_transform(g, coords, conn, th1), th2)
+    both = gauge_transform(g, coords, conn, th1 + th2)
+    for ql, qb in zip(one[0].q, both[0].q):
+        assert np.max(np.abs(ql - qb)) < 1e-13
+    for al, ab in zip(one[1].a, both[1].a):
+        assert np.max(np.abs(al - ab)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=_bandlimited_gauge_data())
+def test_coulomb_fix_is_idempotent_on_bandlimited_data(data):
+    g, coords, conn, _, _ = data
+    q1, a1, _ = coulomb_fix(g, coords, conn)
+    q2, a2, theta = coulomb_fix(g, q1, a1)
+    assert np.max(np.abs(theta)) < 1e-12
+    for qa, qb in zip(q1.q, q2.q):
+        assert np.max(np.abs(qa - qb)) < 1e-12
+    for aa, ab in zip(a1.a, a2.a):
+        assert np.max(np.abs(aa - ab)) < 1e-12
 
 
 def test_covariant_derivative_transforms_covariantly():

@@ -17,8 +17,7 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            rotate_frame)
 from smframe.gnls import CFL_CONSTANT, GnlsState, gnls_seed_from_map, gnls_step
 from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
-                                 GnlsTrajectory, Nls1dTrajectory,
-                                 _line_samples, _magnus_generator,
+                                 GnlsTrajectory, _line_samples, _magnus_generator,
                                  _propagator, initial_data_sweep,
                                  reconstruct_trajectory, sm_residual,
                                  time_evolve_point, uniqueness_gap)
@@ -190,9 +189,14 @@ def test_time_evolve_point_rejects_bad_step():
         time_evolve_point(geo.SPHERE, u, e, stages, 0.0)
 
 
+def _soliton_trajectory(g, dt):
+    state = GnlsState(grid=g, target=geo.SPHERE, time=0.0,
+                      q=(presets.soliton(g, 2.0),))
+    return GnlsTrajectory(state=state, dt=dt)
+
+
 def _soliton_run(g, base, n_steps, dt):
-    provider = Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=dt)
-    return reconstruct_trajectory(provider, base, n_steps)
+    return reconstruct_trajectory(_soliton_trajectory(g, dt), base, n_steps)
 
 
 def test_reconstruction_is_deterministic_and_stable_in_base():
@@ -226,8 +230,8 @@ def test_reconstructed_trajectory_satisfies_map_equation():
 def test_snapshot_every_thins_output():
     g = Grid((64,), (10 * np.pi,))
     base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    provider = Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=1e-3)
-    states = reconstruct_trajectory(provider, base, 6, snapshot_every=3)
+    states = reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 6,
+                                    snapshot_every=3)
     assert len(states) == 3
     assert [s.time for s in states] == pytest.approx([0.0, 3e-3, 6e-3])
 
@@ -255,10 +259,7 @@ def test_hermite_midpoint_is_fourth_order():
 
 
 def _soliton_gnls(dt):
-    g = Grid((256,), (20 * np.pi,))
-    state = GnlsState(grid=g, target=geo.SPHERE, time=0.0,
-                      q=(presets.soliton(g, 2.0),))
-    return GnlsTrajectory(state=state, dt=dt)
+    return _soliton_trajectory(Grid((256,), (20 * np.pi,)), dt)
 
 
 def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
@@ -295,13 +296,7 @@ def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
     assert len(calls) == 1 + 5 * 3
 
 
-def _soliton_nls(dt):
-    g = Grid((128,), (10 * np.pi,))
-    return Nls1dTrajectory(grid=g, q=presets.soliton(g, 2.0), dt=dt)
-
-
-@pytest.mark.parametrize("make, dt", [(_soliton_gnls, 1e-4), (_soliton_nls, 1e-3)],
-                         ids=["gnls", "nls1d"])
+@pytest.mark.parametrize("make, dt", [(_soliton_gnls, 1e-4)], ids=["gnls"])
 def test_next_step_starts_from_the_last_end_stage(make, dt):
     provider = make(dt)
     end = provider.advance()[-1]
@@ -313,6 +308,6 @@ def test_next_step_starts_from_the_last_end_stage(make, dt):
 
 def test_gnls_trajectory_checks_cfl_at_the_full_step():
     provider = _soliton_gnls(0.0)
-    provider.dt = 1.5 * CFL_CONSTANT * provider.grid.spacing[0] ** 2
+    provider.dt = 1.5 * CFL_CONSTANT * provider.state.grid.spacing[0] ** 2
     with pytest.warns(CFLViolation):
         provider.advance()
