@@ -22,7 +22,7 @@ Layout::
     preset = soliton          ; or  snapshot = state.smfs
     b = 2.0                   ; remaining keys are preset parameters
 
-    [base]                    ; reconstruct/roundtrip only
+    [base]                    ; reconstruct only (roundtrip anchors at u0)
     m = 1, 0, 0
     v0 = 0, 1, 0
 """
@@ -123,8 +123,9 @@ def load_config(path) -> RunConfig:
     epsilon = None
     if experiment in _PARABOLIC:
         epsilon = _get(run, "epsilon", float, "run.epsilon")
-        if epsilon <= 0:
-            raise ConfigError("run.epsilon", f"must be positive, got {epsilon}")
+        upper = 1.0 if experiment == "parabolic-gnls" else math.inf  # parabolic_gnls_step's range
+        if not 0 < epsilon <= upper:
+            raise ConfigError("run.epsilon", f"must lie in (0, {upper:g}], got {epsilon}")
     elif "epsilon" in run:
         raise ConfigError("run.epsilon",
                           f"only parabolic experiments take epsilon, not {experiment}")
@@ -159,8 +160,8 @@ def load_config(path) -> RunConfig:
     if "base" in parser:
         base_m = _get(parser["base"], "m", _vector3, "base.m")
         base_v0 = _get(parser["base"], "v0", _vector3, "base.v0")
-    elif experiment in ("reconstruct", "roundtrip"):
-        raise ConfigError("base", f"experiment {experiment} needs a [base] section")
+    elif experiment == "reconstruct":
+        raise ConfigError("base", "experiment reconstruct needs a [base] section")
 
     return RunConfig(
         experiment=experiment, target=target, grid=grid, dt=dt, t_end=t_end,

@@ -152,7 +152,7 @@ def equivalence_report(direct_run, reconstructed_run,
             raise CadenceMismatch(f"times {sa.time} and {sb.time} differ")
         times.append(sa.time)
         gaps.append(float(np.max(geo.geodesic_distance(sa.target, sa.u, sb.u))))
-    report = EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=max(gaps))
+    report = EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=float(np.max(gaps)))
     if coarse is not None:
         report.slope = convergence_order(coarse.max_gap, report.max_gap)
     return report

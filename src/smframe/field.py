@@ -3,17 +3,19 @@
 Everything lives on a uniform periodic box sampled with a power-of-two
 number of points per axis.  Scalar fields are arrays of shape grid.shape;
 vector fields carry a trailing axis of length 3, and stacked states (the
-d coordinates q_l) a trailing component axis of length d.  Derivatives,
-the Poisson solve, and interpolation are Fourier collocation operations,
-so they are exact on band-limited data.
+d coordinates q_l) a trailing component axis of length d.  Derivatives
+and the Poisson solve are Fourier collocation operations, so they are
+exact on band-limited data.
 
 Coordinates are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
 
 On real data `gradient`, `divergence` and `lawson_heun` use real transforms
 over the grid axes, component axes moved first (`roll_axes`) so each component
-is one contiguous block.  Odd operators (derivatives, gradient, divergence)
-zero the Nyquist mode; even ones (the Poisson and Lawson factors) keep it.
+is one contiguous block.  `spectral_derivative` takes one complex transform
+pair per axis; it serves complex q and the GNLS elliptic right-hand sides.
+Odd operators (derivatives, gradient, divergence) zero the Nyquist mode; even
+ones (the Poisson and Lawson factors) keep it.
 """
 
 from __future__ import annotations
@@ -199,24 +201,6 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     fh = np.fft.fftn(f, axes=tuple(range(grid.dim)))
     fh *= grid.dealias_mask.reshape(grid.shape + (1,) * (f.ndim - grid.dim))
     out = np.fft.ifftn(fh, axes=tuple(range(grid.dim)))
-    return out if np.iscomplexobj(f) else out.real
-
-
-def fractional_shift(grid: Grid, f: np.ndarray, axis: int,
-                     frac: float) -> np.ndarray:
-    """Values of f at x + frac * h along `axis` by spectral phase shift.
-
-    The Nyquist mode is interpolated as its cosine representative (the
-    symmetric choice), giving the identity at frac = 0 and a plain roll at
-    frac = 1.
-    """
-    f = np.asarray(f)
-    extra = f.ndim - grid.dim
-    k = grid.odd_wavenumbers[axis]
-    phase = np.exp(1j * k * grid.spacing[axis] * frac).astype(complex)
-    phase[grid.n[axis] // 2] = np.cos(np.pi * frac)
-    fh = np.fft.fft(f, axis=axis) * _bcast(grid, axis, phase, extra)
-    out = np.fft.ifft(fh, axis=axis)
     return out if np.iscomplexobj(f) else out.real
 
 

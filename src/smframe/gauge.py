@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
-from .field import Grid, poisson_solve, spectral_derivative
+from .field import Grid, divergence, gradient, poisson_solve, spectral_derivative
 
 FRAME_TOL = 1e-8
 
@@ -100,14 +100,10 @@ def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
     """
     validate_frame(target, u, e)
     je = geo.j_apply(target, u, e)
-    q = []
-    a = []
-    for axis in range(grid.dim):
-        du = spectral_derivative(grid, u, axis)
-        q.append(geo.inner(target, du, e) + 1j * geo.inner(target, du, je))
-        de = geo.project_tangent(target, u, spectral_derivative(grid, e, axis))
-        a.append(geo.inner(target, de, je))
-    return Coordinates(q=tuple(q)), Connection(a=tuple(a))
+    du = gradient(grid, u)  # d_l u on the leading axis
+    de = geo.project_tangent(target, u, gradient(grid, e))
+    q = geo.inner(target, du, e) + 1j * geo.inner(target, du, je)
+    return Coordinates(q=tuple(q)), Connection(a=tuple(geo.inner(target, de, je)))
 
 
 def gauge_transform(grid: Grid, coords: Coordinates, conn: Connection,
@@ -115,8 +111,7 @@ def gauge_transform(grid: Grid, coords: Coordinates, conn: Connection,
     """Apply the U(1) gauge change of a frame rotation by theta."""
     phase = np.exp(-1j * theta)
     q = tuple(phase * qk for qk in coords.q)
-    a = tuple(ak + spectral_derivative(grid, theta, axis)
-              for axis, ak in enumerate(conn.a))
+    a = tuple(ak + dk for ak, dk in zip(conn.a, gradient(grid, theta)))
     return Coordinates(q=q), Connection(a=a)
 
 
@@ -127,7 +122,7 @@ def coulomb_fix(grid: Grid, coords: Coordinates,
     In 1D this leaves a_1 constant; `remove_mean_connection` then zeroes
     it, which is the parallel gauge.
     """
-    div = sum(spectral_derivative(grid, ak, axis) for axis, ak in enumerate(conn.a))
+    div = divergence(grid, np.stack(conn.a))
     # mean-free by construction: on Coulomb data div is round-off whose own
     # mean would fail poisson_solve's solvability check, so remove it
     theta = poisson_solve(grid, np.mean(div) - div)
@@ -226,12 +221,6 @@ def covariant_derivative(grid: Grid, q: np.ndarray, a: np.ndarray,
     return spectral_derivative(grid, q, axis) + 1j * a * q
 
 
-def covariant_divergence(grid: Grid, q: tuple[np.ndarray, ...],
-                         a: tuple[np.ndarray, ...]) -> np.ndarray:
-    """D_k q_k summed over k."""
-    return sum(covariant_derivative(grid, q[k], a[k], k) for k in range(grid.dim))
-
-
 @dataclass
 class CompatReport:
     """Max-norm residuals of the three compatibility conditions."""
@@ -251,15 +240,14 @@ def compatibility_residual(target: geo.Target, grid: Grid, coords: Coordinates,
                            conn: Connection) -> CompatReport:
     """Measure how far (q, a) is from being realizable as frame coordinates."""
     q, a = coords.q, conn.a
-    div = sum(spectral_derivative(grid, ak, axis) for axis, ak in enumerate(a))
-    r1 = float(np.max(np.abs(div)))
-    r2 = 0.0
-    r3 = 0.0
+    r1 = float(np.max(np.abs(divergence(grid, np.stack(a)))))
+    da = gradient(grid, np.stack(a, axis=-1))  # da[l, ..., k] = d_l a_k
+    r2 = r3 = 0.0
     for l in range(grid.dim):
         for k in range(l + 1, grid.dim):
             sym = covariant_derivative(grid, q[l], a[k], k) \
                 - covariant_derivative(grid, q[k], a[l], l)
             r2 = max(r2, float(np.max(np.abs(sym))))
-            curl = spectral_derivative(grid, a[k], l) - spectral_derivative(grid, a[l], k)
+            curl = da[l, ..., k] - da[k, ..., l]
             r3 = max(r3, float(np.max(np.abs(curl - geo.curvature_f(target, q[l], q[k])))))
     return CompatReport(div_a=r1, dq_symmetry=r2, curl_minus_curvature=r3)

@@ -32,7 +32,7 @@ from .errors import CFLViolation, InvalidStep, SmframeError
 from .field import Grid, dealias, integrate, lawson_heun, poisson_solve, rk4, \
     spectral_derivative
 from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
-    covariant_divergence, extract_coordinates, remove_mean_connection, rotate_frame
+    extract_coordinates, remove_mean_connection, rotate_frame
 
 #: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
 CFL_CONSTANT = 0.5 / np.pi**2
@@ -54,8 +54,7 @@ def check_cfl(grid: Grid, dt: float) -> None:
 def _nls1d_strang(grid: Grid, q: np.ndarray, dt: float, kappa: int) -> np.ndarray:
     phase = np.exp(1j * (kappa / 2.0) * np.abs(q) ** 2 * (dt / 2.0))
     q = q * phase
-    k2 = grid.wavenumber(0) ** 2
-    q = np.fft.ifft(np.fft.fft(q) * np.exp(-1j * k2 * dt))
+    q = np.fft.ifft(np.fft.fft(q) * np.exp(-1j * grid.k_squared * dt))
     phase = np.exp(1j * (kappa / 2.0) * np.abs(q) ** 2 * (dt / 2.0))
     return q * phase
 
@@ -106,13 +105,6 @@ def connection_from_coordinates(target: geo.Target, grid: Grid,
     return (a1, a2)
 
 
-def covariant_terms(grid: Grid, q: np.ndarray,
-                    a: tuple[np.ndarray, ...]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Return ([D_k q for each k], D_k D_k q summed over k)."""
-    dq = [covariant_derivative(grid, q, a[k], k) for k in range(grid.dim)]
-    return dq, sum(covariant_derivative(grid, cov, a[k], k) for k, cov in enumerate(dq))
-
-
 def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                q0: np.ndarray) -> np.ndarray:
     """Solve Delta a_0 = d_l f_l0 with f_l0 = kappa <q_l, i q_0>, corner-anchored."""
@@ -126,16 +118,17 @@ def _derive_fields(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                    mu: complex) -> tuple[Coordinates, Connection]:
     """Coordinates (q, q_0 = mu D_k q_k) and the Coulomb connection (a, a_0)."""
     a = connection_from_coordinates(target, grid, q)
-    q0 = mu * covariant_divergence(grid, q, a)
+    q0 = mu * sum(covariant_derivative(grid, q[k], a[k], k) for k in range(grid.dim))
     return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0_from_q0(target, grid, q, q0))
 
 
 def _covariant_rhs(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                    conn: Connection, mu: complex) -> list[np.ndarray]:
     """dq_l/dt = -i a_0 q_l + mu (D_k D_k q_l + i sum_k f_lk q_k) for each l."""
-    out = []
+    a, out = conn.a, []
     for l in range(grid.dim):
-        _, cov_lap = covariant_terms(grid, q[l], conn.a)
+        dq = [covariant_derivative(grid, q[l], a[k], k) for k in range(grid.dim)]
+        cov_lap = sum(covariant_derivative(grid, dqk, a[k], k) for k, dqk in enumerate(dq))
         rhs = -1j * conn.a0 * q[l] + mu * cov_lap
         for k in range(grid.dim):
             rhs += (1j * mu) * (geo.curvature_f(target, q[l], q[k]) * q[k])
@@ -274,8 +267,7 @@ def gnls_dissipation(state: GnlsState) -> float:
     a = state.connection()
     total = np.zeros(grid.shape)
     for l in range(grid.dim):
-        dq, _ = covariant_terms(grid, state.q[l], a)
         for k in range(grid.dim):
-            total += np.abs(dq[k]) ** 2
+            total += np.abs(covariant_derivative(grid, state.q[l], a[k], k)) ** 2
             total += np.real(state.q[k] * np.conj(1j * state.q[l])) ** 2
     return integrate(grid, total)

@@ -14,8 +14,9 @@ in 1D its a_1 = 0 and it is the cubic NLS.  The frame F = [u, e, Je]
 obeys the linear equation F' = F A with A in so(3) (S^2) or so(2,1)
 (H^2), so each step is a 4th-order Magnus step whose exponential has a
 closed form (`_propagator`, shared by both transports) and keeps F on its
-group to round-off.  The sweep retracts and re-orthonormalizes once, at
-its output; the time transport does so after every step.
+group to round-off.  The sweep samples (q, a) between grid points by zero
+padding, and retracts and re-orthonormalizes once, at its output; the time
+transport does so after every step.
 
 The construction lives on the torus while the underlying identities hold
 on R^d, so the spatial sweep need not close up; the wrap-around mismatch
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry as geo
-from .errors import InvalidStep
-from .field import Grid, fractional_shift
+from .errors import FrameInvalid, InvalidStep
+from .field import Grid
 from .gauge import Connection, Coordinates
 from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
 
@@ -44,7 +45,10 @@ class BasePointData:
 
     def validate(self, target: geo.Target) -> None:
         tol = geo.CONSTRAINT_TOL
-        geo.check_on_manifold(target, self.m)
+        try:
+            geo.check_on_manifold(target, self.m)
+        except FrameInvalid as exc:
+            raise ValueError(f"m is not a point of the target: {exc}") from exc
         if abs(geo.inner(target, self.v0, self.m)) > tol:
             raise ValueError("v0 is not tangent at m")
         if abs(geo.inner(target, self.v0, self.v0) - 1.0) > tol:
@@ -119,12 +123,18 @@ SWEEP_SUBSTEPS = 8
 
 
 def _line_samples(grid: Grid, f: np.ndarray, axis: int, n_sub: int) -> np.ndarray:
-    """f sampled at x + (t / 2m) h for t = 0..2m, swept axis moved last."""
-    out = [np.moveaxis(fractional_shift(grid, f, axis, t / (2.0 * n_sub)),
-                       axis, -1)
-           for t in range(2 * n_sub)]
-    out.append(np.roll(out[0], -1, axis=-1))
-    return np.stack(out)
+    """f sampled at x + (t / 2m) h for t = 0..2m, swept axis moved last, from
+    its spectrum zero-padded to 2m n points; the Nyquist coefficient is split
+    evenly between +-n/2 (its cosine representative)."""
+    n, r = grid.n[axis], 2 * n_sub
+    fh = np.moveaxis(np.fft.fft(f, axis=axis), axis, -1)
+    fh[..., n // 2] *= 0.5
+    zeros = np.zeros(fh.shape[:-1] + ((r - 1) * n - 1,))
+    fine = r * np.fft.ifft(np.concatenate([fh[..., :n // 2 + 1], zeros, fh[..., n // 2:]], -1))
+    if not np.iscomplexobj(f):
+        fine = fine.real
+    rows = np.moveaxis(fine.reshape(fh.shape[:-1] + (n, r)), -1, 0)
+    return np.concatenate([rows, np.roll(rows[:1], -1, axis=-1)])  # row 2m: row 0 rolled
 
 
 def _sweep(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,

@@ -20,7 +20,7 @@ from . import gnls, presets
 from .config import RunConfig
 from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
                      parabolic_sm_step)
-from .errors import ConfigError
+from .errors import ConfigError, SmframeError
 from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
 from .geometry import SPHERE, constraint_defect
 from .reconstruct import (BasePointData, GnlsTrajectory, reconstruct_trajectory,
@@ -122,6 +122,10 @@ def _write_manifest(outdir: Path, cfg: RunConfig, config_text: str,
 
 
 def _write_final(cfg: RunConfig, outdir: Path, time: float, fields: dict) -> None:
+    """Write the final snapshot; a field that is not finite is a failed run."""
+    for name, value in fields.items():
+        if not np.isfinite(np.max(np.abs(value))):  # nan and inf propagate
+            raise SmframeError(f"field {name!r} is not finite at t = {time:g}")
     write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
                    time, fields)
 
@@ -229,6 +233,8 @@ def _run_roundtrip(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> No
     recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
                                    cfg.n_steps, cfg.snapshot_every)
     report = diag.equivalence_report(direct_states, recon)
+    if not np.isfinite(report.max_gap):
+        raise SmframeError(f"max_gap is not finite at t = {recon[-1].time:g}")
     summary = {
         "times": report.times,
         "geodesic_gap": report.geodesic_gap,

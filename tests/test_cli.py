@@ -15,6 +15,7 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.cli import main
 from smframe.diagnostics import read_diagnostics
+from smframe.errors import CFLViolation
 from smframe.field import Grid
 from smframe.snapshot import read_snapshot, write_snapshot
 
@@ -335,3 +336,34 @@ def test_run_keeps_freed_arrays_for_reuse():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) < 100
+
+
+def test_non_finite_state_exits_3(tmp_path, capsys):
+    # dt far past the CFL limit: every logged mass is nan
+    cfg = _write(tmp_path, GNLS_CFG.replace("dt = 1e-4\nt_end = 5e-4\nsnapshot_every = 1",
+                                            "dt = 0.5\nt_end = 20\nsnapshot_every = 10")
+                 .replace("n = 32, 32", "n = 64").replace("sphere-bump", "great-circle"))
+    with pytest.warns(CFLViolation):
+        assert main(["run", cfg, "--output", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "'q1' is not finite at t = 20" in err
+    assert not (tmp_path / "bump.final.smfs").exists()
+
+
+def test_parabolic_gnls_epsilon_above_one_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, GNLS_CFG.replace("experiment = gnls",
+                                            "experiment = parabolic-gnls\nepsilon = 2"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "run.epsilon" in capsys.readouterr().err
+
+
+def test_base_point_off_the_target_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SOLITON_RECONSTRUCT_CFG.replace("m = 0, 0, 1", "m = 2, 0, 0"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "m is not a point of the target" in capsys.readouterr().err
+
+
+def test_roundtrip_needs_no_base_section(tmp_path):
+    cfg = _write(tmp_path, ROUNDTRIP_CFG[:ROUNDTRIP_CFG.index("[base]")])
+    assert main(["roundtrip", cfg, "--output", str(tmp_path)]) == 0
+    assert (tmp_path / "loop.roundtrip.json").exists()

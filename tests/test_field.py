@@ -7,9 +7,8 @@ from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe.errors import FormatError, NonZeroMean
-from smframe.field import (Grid, dealias, divergence, fractional_shift,
-                           gradient, integrate, lawson_heun,
-                           poisson_solve, rk4, spectral_derivative)
+from smframe.field import (Grid, dealias, divergence, gradient, integrate,
+                           lawson_heun, poisson_solve, rk4, spectral_derivative)
 from smframe.snapshot import read_snapshot, write_snapshot
 
 
@@ -82,19 +81,6 @@ def test_dealias_removes_top_third():
     high = np.sin(14 * x)
     out = dealias(g, low + high)
     assert np.max(np.abs(out - low)) < 1e-12
-
-
-def test_fractional_shift_is_exact_on_bandlimited_data():
-    g = Grid((64,), (2 * np.pi,))
-    x = g.axis_coord(0)
-    f = np.sin(5 * x) + 0.3 * np.cos(2 * x)
-    h = g.spacing[0]
-    for frac in (0.0, 0.25, 0.5, 1.0):
-        shifted = fractional_shift(g, f, 0, frac)
-        expect = np.sin(5 * (x + frac * h)) + 0.3 * np.cos(2 * (x + frac * h))
-        assert np.max(np.abs(shifted - expect)) < 1e-12
-    # frac = 1 is a plain circular roll
-    assert np.max(np.abs(fractional_shift(g, f, 0, 1.0) - np.roll(f, -1))) < 1e-12
 
 
 def test_rk4_matches_taylor_factor_on_linear_ode():

@@ -189,6 +189,63 @@ def test_parallel_gauge_zeroes_connection_and_warns_on_holonomy():
         remove_mean_connection(g, qb, ab)
 
 
+def test_extract_coordinates_takes_two_real_transform_pairs(fft_census):
+    # one gradient of u and one of e serve every axis; per-axis complex
+    # derivatives took 4 + 4 1-D transforms
+    g, u, e = _bump_setup(32)
+    fft_census.clear()
+    extract_coordinates(geo.SPHERE, g, u, e)
+    assert fft_census == {"fwd_nd": 2, "inv_nd": 2}
+
+
+def _per_axis_coordinates(target, g, u, e):
+    """(q, a) from one complex spectral_derivative per axis and field."""
+    je = geo.j_apply(target, u, e)
+    q, a = [], []
+    for axis in range(g.dim):
+        du = spectral_derivative(g, u, axis)
+        q.append(geo.inner(target, du, e) + 1j * geo.inner(target, du, je))
+        de = geo.project_tangent(target, u, spectral_derivative(g, e, axis))
+        a.append(geo.inner(target, de, je))
+    return q, a
+
+
+def _per_axis_residual(target, g, q, a):
+    """compatibility_residual's three numbers from per-axis derivatives."""
+    div = sum(spectral_derivative(g, ak, axis) for axis, ak in enumerate(a))
+    sym = curl = 0.0
+    for l in range(g.dim):
+        for k in range(l + 1, g.dim):
+            sym = np.max(np.abs(covariant_derivative(g, q[l], a[k], k)
+                                - covariant_derivative(g, q[k], a[l], l)))
+            curl = np.max(np.abs(spectral_derivative(g, a[k], l)
+                                 - spectral_derivative(g, a[l], k)
+                                 - geo.curvature_f(target, q[l], q[k])))
+    return np.max(np.abs(div)), sym, curl
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=hst.sampled_from([1, 2]), target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]),
+       length=hst.floats(4.0, 40.0), kmax=hst.integers(1, 8),
+       amplitude=hst.floats(0.0, 0.3), seed=hst.integers(0, 2**32 - 1))
+def test_real_kernels_match_per_axis_derivatives_on_random_frames(
+        dim, target, length, kmax, amplitude, seed):
+    g = Grid((32,) * dim, (length,) * dim)
+    bump = np.stack([presets.random_bandlimited(g, kmax, amplitude, seed + i).real
+                     for i in range(3)], axis=-1)
+    u = geo.retract(target, target.base_point + bump)
+    e = best_reference_frame(target, u)
+    coords, conn = extract_coordinates(target, g, u, e)
+    q, a = _per_axis_coordinates(target, g, u, e)
+    for got, want in zip(coords.q + conn.a, q + a):
+        assert np.max(np.abs(got - want)) < 1e-12
+    # a doubled connection keeps every residual away from zero
+    doubled = [2.0 * ak for ak in a]
+    rep = compatibility_residual(target, g, coords, Connection(a=tuple(doubled)))
+    want = _per_axis_residual(target, g, q, doubled)
+    assert np.max(np.abs(np.subtract(rep.as_tuple(), want))) < 1e-12
+
+
 def test_compatibility_residual_small_for_extracted_data():
     g, u, e = _bump_setup()
     coords, conn = extract_coordinates(geo.SPHERE, g, u, e)

@@ -107,6 +107,25 @@ def test_sweep_recovers_2d_map_and_frame():
     assert st.periodicity_defect < 0.05
 
 
+def test_line_samples_are_exact_on_bandlimited_data():
+    g = Grid((64,), (2 * np.pi,))
+    x = g.axis_coord(0)
+    h = g.spacing[0]
+
+    def f(s):  # cos(32 s) is the Nyquist mode, sampled by its cosine
+        return np.sin(5 * s) + 0.3 * np.cos(2 * s) + 0.2 * np.cos(32 * s)
+
+    for scale in (1.0, 1.0 - 0.5j):
+        tables = _line_samples(g, scale * f(x), 0, SWEEP_SUBSTEPS)
+        assert tables.shape == (2 * SWEEP_SUBSTEPS + 1, 64)
+        for t, row in enumerate(tables):
+            expect = scale * f(x + t * h / (2 * SWEEP_SUBSTEPS))
+            assert np.max(np.abs(row - expect)) < 1e-12
+        # row 0 is the identity and row 2m a plain circular roll
+        assert np.max(np.abs(tables[0] - scale * f(x))) < 1e-12
+        assert np.max(np.abs(tables[-1] - np.roll(scale * f(x), -1))) < 1e-12
+
+
 def test_center_row_samples_match_full_grid_tables():
     g = Grid((64, 32), (8 * np.pi, 4 * np.pi))
     row = Grid(g.n[:1], g.length[:1])
