@@ -12,10 +12,12 @@ so the box center is an exact grid point (index n/2 on every axis).
 
 On real data `gradient`, `divergence` and `lawson_heun` use real transforms
 over the grid axes, component axes moved first (`roll_axes`) so each component
-is one contiguous block.  `spectral_derivative` takes one complex transform
-pair per axis; it serves complex q and the GNLS elliptic right-hand sides.
-Odd operators (derivatives, gradient, divergence) zero the Nyquist mode; even
-ones (the Poisson and Lawson factors) keep it.
+is one contiguous block.  `spectral_derivative` takes one transform pair along
+its axis: a real pair (`rfft`/`irfft`) on real input, such as the GNLS
+elliptic right-hand sides, and a complex pair on complex q.  `poisson_solve`
+takes real right-hand sides of the grid's shape and solves on the half
+spectrum.  Odd operators (derivatives, gradient, divergence) zero the Nyquist
+mode; even ones (the Poisson and Lawson factors) keep it.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ class Grid:
 
     @cached_property
     def poisson_denominator(self) -> np.ndarray:
-        """|k|^2 with the zero mode set to 1 (the mode is zeroed after dividing)."""
-        return np.where(self.k_squared == 0.0, 1.0, self.k_squared)
+        """`half_k_squared` with the zero mode set to 1 (the mode is zeroed
+        after dividing)."""
+        return np.where(self.half_k_squared == 0.0, 1.0, self.half_k_squared)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -120,7 +123,7 @@ class Grid:
 
 def _bcast(grid: Grid, axis: int, values: np.ndarray, extra_ndim: int) -> np.ndarray:
     shape = [1] * (grid.dim + extra_ndim)
-    shape[axis] = grid.n[axis]
+    shape[axis] = -1  # n, or n//2 + 1 on the half spectrum
     return values.reshape(shape)
 
 
@@ -155,18 +158,23 @@ def divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
 
 
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Fourier collocation d/dx_axis; the Nyquist mode of the derivative is zeroed."""
+    """Fourier collocation d/dx_axis; the Nyquist mode of the derivative is zeroed.
+    Real f takes a real transform pair along the axis, complex f a complex one."""
     f = np.asarray(f)
-    extra = f.ndim - grid.dim
+    extra, n = f.ndim - grid.dim, grid.n[axis]
     k = grid.odd_wavenumbers[axis]  # odd operator has no consistent Nyquist mode
-    fh = np.fft.fft(f, axis=axis)
-    dfh = 1j * _bcast(grid, axis, k, extra) * fh
-    df = np.fft.ifft(dfh, axis=axis)
-    return df if np.iscomplexobj(f) else df.real
+    if np.iscomplexobj(f):
+        fh = np.fft.fft(f, axis=axis)
+        fh *= 1j * _bcast(grid, axis, k, extra)
+        return np.fft.ifft(fh, axis=axis)
+    fh = np.fft.rfft(f, axis=axis)
+    fh *= 1j * _bcast(grid, axis, k[:n // 2 + 1], extra)
+    return np.fft.irfft(fh, n=n, axis=axis)
 
 
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Unique mean-zero phi with (spectral) Laplacian(phi) = rhs.
+    """Unique mean-zero phi with (spectral) Laplacian(phi) = rhs, for real
+    rhs of the grid's shape; the Nyquist mode is kept.
 
     Raises NonZeroMean when the torus solvability condition fails; that
     signals broken divergence structure upstream, not a numerical issue here.
@@ -176,11 +184,10 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     mean = abs(np.mean(rhs))
     if scale > 0 and mean > 1e-10 * scale:
         raise NonZeroMean(f"poisson rhs mean {mean:.3e} exceeds 1e-10 * max {scale:.3e}")
-    fh = np.fft.fftn(rhs, axes=tuple(range(grid.dim)))
-    ph = -fh / grid.poisson_denominator
+    ph = _rfft(grid, rhs)
+    ph /= grid.poisson_denominator
     ph.flat[0] = 0.0
-    out = np.fft.ifftn(ph, axes=tuple(range(grid.dim)))
-    return out if np.iscomplexobj(rhs) else out.real
+    return -_irfft(grid, ph)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:

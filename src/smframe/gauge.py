@@ -217,8 +217,10 @@ def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
 
 def covariant_derivative(grid: Grid, q: np.ndarray, a: np.ndarray,
                          axis: int) -> np.ndarray:
-    """D_axis q = (d_axis + i a_axis) q."""
-    return spectral_derivative(grid, q, axis) + 1j * a * q
+    """D_axis q = (d_axis + i a_axis) q for complex q."""
+    dq = spectral_derivative(grid, q, axis)
+    dq += 1j * a * q
+    return dq
 
 
 @dataclass
@@ -240,8 +242,8 @@ def compatibility_residual(target: geo.Target, grid: Grid, coords: Coordinates,
                            conn: Connection) -> CompatReport:
     """Measure how far (q, a) is from being realizable as frame coordinates."""
     q, a = coords.q, conn.a
-    r1 = float(np.max(np.abs(divergence(grid, np.stack(a)))))
     da = gradient(grid, np.stack(a, axis=-1))  # da[l, ..., k] = d_l a_k
+    r1 = float(np.max(np.abs(np.trace(da, axis1=0, axis2=-1))))  # div a
     r2 = r3 = 0.0
     for l in range(grid.dim):
         for k in range(l + 1, grid.dim):

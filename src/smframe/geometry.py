@@ -132,8 +132,10 @@ def complex_to_vector(target: Target, u: np.ndarray, e: np.ndarray, z: np.ndarra
 
 
 def curvature_f(target: Target, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Curvature coefficient kappa <qa, i qb> with <z,w> = Re(z conj(w))."""
-    return target.kappa * np.real(np.asarray(qa) * np.conj(1j * np.asarray(qb)))
+    """Curvature coefficient kappa <qa, i qb> with <z,w> = Re(z conj(w)),
+    formed as kappa (Im qa Re qb - Re qa Im qb) without complex temporaries."""
+    qa, qb = np.asarray(qa), np.asarray(qb)
+    return target.kappa * (qa.imag * qb.real - qa.real * qb.imag)
 
 
 def geodesic_distance(target: Target, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -131,7 +131,8 @@ def _covariant_rhs(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
         cov_lap = sum(covariant_derivative(grid, dqk, a[k], k) for k, dqk in enumerate(dq))
         rhs = -1j * conn.a0 * q[l] + mu * cov_lap
         for k in range(grid.dim):
-            rhs += (1j * mu) * (geo.curvature_f(target, q[l], q[k]) * q[k])
+            if k != l:  # f_ll = 0 exactly
+                rhs += (1j * mu) * (geo.curvature_f(target, q[l], q[k]) * q[k])
         out.append(rhs)
     return out
 

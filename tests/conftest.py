@@ -22,15 +22,27 @@ def _cli_allocator_thresholds():
     cli._keep_freed_memory()
 
 
-@pytest.fixture
-def fft_census(monkeypatch):
-    """Counter of numpy.fft calls keyed 'fwd_1d', 'inv_1d', 'fwd_nd' and
-    'inv_nd'; clear() it right before the code under count.  Transforms
-    that numpy makes internally (fftn's per-axis passes) are not counted."""
+def _count_transforms(monkeypatch, kinds):
     counts = Counter()
-    for name, key in _FFT_KINDS.items():
+    for name, key in kinds.items():
         def counted(*args, _transform=getattr(np.fft, name), _key=key, **kwargs):
             counts[_key] += 1
             return _transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+@pytest.fixture
+def fft_census(monkeypatch):
+    """Counter of numpy.fft calls keyed 'fwd_1d', 'inv_1d', 'fwd_nd' and
+    'inv_nd'; clear() it right before the code under count.  Transforms
+    that numpy makes internally (fftn's per-axis passes) are not counted."""
+    return _count_transforms(monkeypatch, _FFT_KINDS)
+
+
+@pytest.fixture
+def real_fft_census(fft_census, monkeypatch):
+    """Counter of the real transforms (rfft, irfft, rfftn, ...) among the
+    calls `fft_census` counts, under the same keys; clear() both."""
+    return _count_transforms(monkeypatch, {name: key for name, key in _FFT_KINDS.items()
+                                           if name.startswith(("rfft", "irfft"))})

@@ -163,6 +163,57 @@ def test_gradient_and_divergence_match_per_axis_derivatives(grid, seed, nyquist,
     assert _rel_err(got, expect) < 1e-13
 
 
+def _reference_wavenumbers(grid, axis):
+    n = grid.n[axis]
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=grid.length[axis] / n)
+
+
+def _complex_derivative(grid, f, axis):
+    """ifft(i k fft(f)).real along the axis, the Nyquist mode of k zeroed."""
+    shape = [1] * f.ndim
+    shape[axis] = grid.n[axis]
+    k = _reference_wavenumbers(grid, axis)
+    k[grid.n[axis] // 2] = 0.0
+    fh = np.fft.fft(f, axis=axis)
+    return np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis).real
+
+
+def _complex_poisson(grid, rhs):
+    """-fftn(rhs) / |k|^2 on the full spectrum, the Nyquist mode kept."""
+    k2 = sum(k**2 for k in np.meshgrid(*[_reference_wavenumbers(grid, axis)
+                                          for axis in range(grid.dim)], indexing="ij"))
+    ph = -np.fft.fftn(rhs) / np.where(k2 == 0.0, 1.0, k2)
+    ph.flat[0] = 0.0
+    return np.fft.ifftn(ph).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
+       extra=hst.sampled_from([(), (3,)]))
+def test_real_derivative_matches_complex_path(grid, seed, nyquist, extra):
+    # both paths zero the derivative's Nyquist mode (on the real pair irfft
+    # would also drop the purely imaginary i k X_N); the data carry energy
+    # there, so a path that kept it would differ
+    f = _real_field(grid, seed, nyquist, extra=extra)
+    for axis in range(grid.dim):
+        got = spectral_derivative(grid, f, axis)
+        assert not np.iscomplexobj(got) and got.shape == f.shape
+        assert _rel_err(got, _complex_derivative(grid, f, axis)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0))
+def test_real_poisson_solve_matches_complex_path(grid, seed, nyquist):
+    # the Poisson factor is even and keeps the Nyquist mode
+    f = _real_field(grid, seed, nyquist)
+    rhs = f - np.mean(f)
+    got = poisson_solve(grid, rhs)
+    assert not np.iscomplexobj(got) and got.shape == grid.shape
+    assert _rel_err(got, _complex_poisson(grid, rhs)) < 1e-13
+    with pytest.raises(NonZeroMean):
+        poisson_solve(grid, rhs + np.max(np.abs(rhs)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
        extra=hst.sampled_from([(), (3,)]), h=hst.floats(1e-3, 1e-1),

@@ -198,6 +198,16 @@ def test_extract_coordinates_takes_two_real_transform_pairs(fft_census):
     assert fft_census == {"fwd_nd": 2, "inv_nd": 2}
 
 
+def test_compatibility_residual_takes_one_real_transform_pair(fft_census):
+    # div a is the trace of the gradient that serves the curl; the two
+    # 1-D pairs are the covariant derivatives of the dq-symmetry term
+    g, u, e = _bump_setup(32)
+    coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
+    fft_census.clear()
+    compatibility_residual(geo.SPHERE, g, coords, conn)
+    assert fft_census == {"fwd_1d": 2, "inv_1d": 2, "fwd_nd": 1, "inv_nd": 1}
+
+
 def _per_axis_coordinates(target, g, u, e):
     """(q, a) from one complex spectral_derivative per axis and field."""
     je = geo.j_apply(target, u, e)

@@ -107,6 +107,25 @@ def test_curvature_coefficient_values_and_antisymmetry():
     assert np.allclose(geo.curvature_f(geo.SPHERE, z, z), 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]), seed=hst.integers(0, 2**32 - 1),
+       n=hst.integers(1, 64), scale=hst.floats(1e-8, 1e8))
+def test_curvature_coefficient_real_form(target, seed, n, scale):
+    # kappa (Im qa Re qb - Re qa Im qb) rounds two products and their
+    # difference; numpy's complex product may fuse them (FMA), so the complex
+    # form Re(qa conj(i qb)) agrees to within the rounding of the products.
+    # The real form is exactly antisymmetric and f(z, z) is exactly 0, which
+    # is what lets the GNLS right-hand side skip f_ll q_l.
+    rng = np.random.default_rng(seed)
+    z, w = scale * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    got = geo.curvature_f(target, z, w)
+    products = np.abs(z.imag * w.real) + np.abs(z.real * w.imag)
+    complex_form = target.kappa * np.real(z * np.conj(1j * w))
+    assert np.all(np.abs(got - complex_form) <= 2 * np.finfo(float).eps * products)
+    assert np.array_equal(geo.curvature_f(target, w, z), -got)
+    assert np.array_equal(geo.curvature_f(target, z, z), np.zeros(n))
+
+
 def test_geodesic_distance_closed_forms():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
@@ -109,6 +110,28 @@ def _bump_state(n=32, length=8 * np.pi):
     g = Grid((n, n), (length, length))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
     return gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+
+
+def test_gnls_step_takes_real_transforms_of_the_real_fields(fft_census, real_fft_census,
+                                                            monkeypatch):
+    # per right-hand side: 4 real 1-D pairs (d f_12 and d f_l0), 10 complex
+    # 1-D pairs (covariant derivatives of q), 3 real n-D pairs (Poisson
+    # solves) and 2 complex n-D pairs (dealias)
+    st = _bump_state()
+    solves = []
+    solve = smframe.gnls.poisson_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(smframe.gnls, "poisson_solve", counted)
+    fft_census.clear()
+    real_fft_census.clear()
+    gnls_step(st, 5e-5)
+    assert fft_census == {"fwd_1d": 56, "inv_1d": 56, "fwd_nd": 20, "inv_nd": 20}
+    assert real_fft_census == {"fwd_1d": 16, "inv_1d": 16, "fwd_nd": 12, "inv_nd": 12}
+    assert len(solves) == 12
 
 
 def test_fields_are_derived_once_per_state():
