@@ -19,16 +19,16 @@ from .gauge import (CompatReport, Connection, Coordinates,
                     best_reference_frame, compatibility_residual, coulomb_fix,
                     covariant_derivative, exponential_gauge_connection,
                     exponential_gauge_curl_residual, extract_coordinates,
-                    frame_from_reference, gauge_transform,
-                    remove_mean_connection, rotate_frame, validate_frame)
+                    gauge_transform, remove_mean_connection, rotate_frame,
+                    validate_frame)
 from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
                    gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                    parabolic_gnls_step)
-from .direct import (MapState, heisenberg_step, hyperbolic_sm_step,
-                     hyperbolic_view, map_moment, parabolic_sm_step)
+from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
+                     parabolic_sm_step)
 from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
                           initial_data_sweep, reconstruct_trajectory,
-                          sm_residual, time_evolve_point, uniqueness_gap)
+                          sm_residual, time_evolve_point)
 from .diagnostics import (DiagnosticsLog, DiagnosticsRow, EquivalenceReport,
                           convergence_order, energy_map, equivalence_report,
                           read_diagnostics)

@@ -8,7 +8,7 @@ Layout::
     target = sphere           ; sphere | hyperbolic
     dt = 1e-3
     t_end = 1.0
-    snapshot_every = 100      ; steps between logged rows (cadence)
+    snapshot_every = 100      ; steps between logged rows; divides t_end / dt
     epsilon = 0.1             ; required iff the experiment is parabolic
     seed = 0
     output = out
@@ -116,9 +116,9 @@ def load_config(path) -> RunConfig:
     if not math.isclose(t_end / dt, round(t_end / dt), rel_tol=1e-9):
         raise ConfigError("run.t_end", f"not a whole number of steps of dt = {dt}")
     snapshot_every = _get(run, "snapshot_every", int, "run.snapshot_every", default=1)
-    if snapshot_every < 1:
-        raise ConfigError("run.snapshot_every",
-                          f"must be a positive step count, got {snapshot_every}")
+    if snapshot_every < 1 or round(t_end / dt) % snapshot_every:  # t_end is logged last
+        raise ConfigError("run.snapshot_every", f"must be a positive step count dividing "
+                          f"the {round(t_end / dt)} steps to t_end, got {snapshot_every}")
 
     epsilon = None
     if experiment in _PARABOLIC:

@@ -131,16 +131,12 @@ class EquivalenceReport:
     times: list[float]
     geodesic_gap: list[float]
     max_gap: float
-    slope: float | None = None  # convergence order when two resolutions given
 
 
-def equivalence_report(direct_run, reconstructed_run,
-                       coarse: "EquivalenceReport | None" = None) -> EquivalenceReport:
+def equivalence_report(direct_run, reconstructed_run) -> EquivalenceReport:
     """Compare two trajectories of the same map at matching times (to 1e-9).
 
-    Accepts any state objects carrying (grid, target, time, u).  When the
-    report of a twice-coarser run is supplied, the convergence order of
-    max_gap is attached.
+    Accepts any state objects carrying (grid, target, time, u).
     """
     if len(direct_run) != len(reconstructed_run):
         raise CadenceMismatch(
@@ -152,10 +148,7 @@ def equivalence_report(direct_run, reconstructed_run,
             raise CadenceMismatch(f"times {sa.time} and {sb.time} differ")
         times.append(sa.time)
         gaps.append(float(np.max(geo.geodesic_distance(sa.target, sa.u, sb.u))))
-    report = EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=float(np.max(gaps)))
-    if coarse is not None:
-        report.slope = convergence_order(coarse.max_gap, report.max_gap)
-    return report
+    return EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=float(np.max(gaps)))
 
 
 def convergence_order(err_coarse: float, err_fine: float,

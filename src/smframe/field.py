@@ -223,6 +223,16 @@ def rk4(f, y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def march(state, advance, n_steps: int, every: int):
+    """Yield `state`, then the state after every `every`-th of `n_steps`
+    applications of `advance`."""
+    yield state
+    for step in range(1, n_steps + 1):
+        state = advance(state)
+        if step % every == 0:
+            yield state
+
+
 def lawson_heun(grid: Grid, y: np.ndarray, h: float, c: complex,
                 nonlinear) -> np.ndarray:
     """One Lawson (integrating-factor) Heun step of dy/dt = c Lap y + N(y):

@@ -58,16 +58,6 @@ def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray) -> None:
         )
 
 
-def frame_from_reference(target: geo.Target, u: np.ndarray,
-                         reference: np.ndarray) -> np.ndarray:
-    """Smooth frame from projecting a constant ambient reference vector.
-
-    Valid wherever the reference is nowhere (anti)parallel to the normal.
-    """
-    ref = np.broadcast_to(np.asarray(reference, dtype=float), u.shape)
-    return geo.orthonormalize_frame(target, u, ref)
-
-
 def best_reference_frame(target: geo.Target, u: np.ndarray) -> np.ndarray:
     """Frame from the ambient basis vector whose projection is best
     conditioned across the whole grid (largest worst-case tangent norm)."""
@@ -82,7 +72,7 @@ def best_reference_frame(target: geo.Target, u: np.ndarray) -> np.ndarray:
     if best_score <= FRAME_TOL:
         raise FrameInvalid(
             "no constant reference vector yields a frame on this map")
-    return frame_from_reference(target, u, best)
+    return geo.orthonormalize_frame(target, u, np.broadcast_to(best, u.shape))
 
 
 def rotate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import FrameInvalid, InvalidStep
-from .field import Grid
+from .field import Grid, march
 from .gauge import Connection, Coordinates
 from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
 
@@ -269,14 +269,12 @@ def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
     # the first advance() reuses this derivation through the state's memo
     coords, conn = start.fields()
     state = initial_data_sweep(start.target, start.grid, coords, conn, base)
-    out = [state]
-    u, e = state.u, state.e
-    for step in range(n_steps):
-        stages = trajectory.advance()
-        u, e = time_evolve_point(start.target, u, e, stages, trajectory.dt)
-        if (step + 1) % snapshot_every == 0:
-            out.append(replace(state, time=(step + 1) * trajectory.dt, u=u, e=e))
-    return out
+
+    def advance(st: MapFrameState) -> MapFrameState:
+        u, e = time_evolve_point(st.target, st.u, st.e, trajectory.advance(), trajectory.dt)
+        return replace(st, time=st.time + trajectory.dt, u=u, e=e)
+
+    return list(march(state, advance, n_steps, snapshot_every))
 
 
 def sm_residual(target: geo.Target, grid: Grid,
@@ -292,23 +290,3 @@ def sm_residual(target: geo.Target, grid: Grid,
     dudt = (nxt.u - prev.u) / (2.0 * dt)
     res = dudt - flux_divergence(target, grid, mid.u)
     return float(np.max(np.abs(res)))
-
-
-def uniqueness_gap(target: geo.Target, run_a: list[MapFrameState],
-                   run_b: list[MapFrameState]) -> float:
-    """max over (t, x) of |u - u~| + |e - e~| + |f - f~| with f = J(u x e)...
-
-    f is the third frame leg Je, so the gap measures the full orthonormal
-    triple; it is the discrete quantity controlled by the skew-symmetric
-    uniqueness argument."""
-    if len(run_a) != len(run_b):
-        raise ValueError("runs have different lengths")
-    gap = 0.0
-    for sa, sb in zip(run_a, run_b):
-        fa = geo.j_apply(target, sa.u, sa.e)
-        fb = geo.j_apply(target, sb.u, sb.e)
-        total = (np.linalg.norm(sa.u - sb.u, axis=-1)
-                 + np.linalg.norm(sa.e - sb.e, axis=-1)
-                 + np.linalg.norm(fa - fb, axis=-1))
-        gap = max(gap, float(np.max(total)))
-    return gap

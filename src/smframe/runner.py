@@ -1,7 +1,9 @@
 """Experiment execution behind the command-line front-end.
 
-Each experiment advances its solver, appends diagnostics rows at the
-snapshot cadence, writes state snapshots, and leaves a JSON manifest
+`PLANS` maps each experiment to a function that checks the config and
+returns a `Plan`: its states at t = 0 and at the snapshot cadence (from
+`field.march`), and a state's diagnostics row and final snapshot fields.
+`execute` runs every plan through one loop and leaves a JSON manifest
 (config echo, code version, wall time) next to the outputs.
 """
 
@@ -10,7 +12,9 @@ from __future__ import annotations
 import inspect
 import json
 import time as _time
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,10 +25,11 @@ from .config import RunConfig
 from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
                      parabolic_sm_step)
 from .errors import ConfigError, SmframeError
+from .field import march
 from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
 from .geometry import SPHERE, constraint_defect
-from .reconstruct import (BasePointData, GnlsTrajectory, reconstruct_trajectory,
-                          sm_residual)
+from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
+                          reconstruct_trajectory, sm_residual)
 from .snapshot import read_snapshot, write_snapshot
 
 FIELD_PRESETS = {
@@ -39,29 +44,10 @@ MAP_PRESETS = {
     "sphere-bump": presets.sphere_bump_2d,
 }
 
-
-#: (experiment, target kind) -> solver step; parabolic steps also take epsilon
-STEPPERS = {
-    ("gnls", "sphere"): gnls.gnls_step,
-    ("gnls", "hyperbolic"): gnls.gnls_step,
-    ("parabolic-gnls", "sphere"): gnls.parabolic_gnls_step,
-    ("parabolic-gnls", "hyperbolic"): gnls.parabolic_gnls_step,
-    ("direct-sm", "sphere"): heisenberg_step,
-    ("direct-sm", "hyperbolic"): hyperbolic_sm_step,
-    ("parabolic-sm", "hyperbolic"): parabolic_sm_step,
-    ("roundtrip", "sphere"): heisenberg_step,
-    ("roundtrip", "hyperbolic"): hyperbolic_sm_step,
-}
-
-
-def _stepper(cfg: RunConfig):
-    """state -> state after one step of dt, as the config selects."""
-    step = STEPPERS.get((cfg.experiment, cfg.target.kind))
-    if step is None:
-        raise ConfigError("run.target",
-                          f"{cfg.experiment} has no {cfg.target.kind} solver")
-    args = (cfg.dt,) if cfg.epsilon is None else (cfg.dt, cfg.epsilon)
-    return lambda state: step(state, *args)
+#: a conservative map flow fails once its Dirichlet energy leaves E0 by more
+#: than this fraction of max(E0, 1); the scheme drifts by under 1e-8 per unit
+#: time, and the floor keeps a constant map (E0 = 0) clear of round-off
+ENERGY_DRIFT = 1e-3
 
 
 def _preset_kwargs(cfg: RunConfig, preset) -> dict:
@@ -82,14 +68,20 @@ def _preset_kwargs(cfg: RunConfig, preset) -> dict:
     return kwargs
 
 
-def _initial(cfg: RunConfig, table: dict, kind: str, name: str) -> np.ndarray:
+def _initial(cfg: RunConfig, name: str) -> np.ndarray:
+    """Initial q (complex coordinate) or u (ambient map): snapshot or preset."""
+    kind, table = ("field", FIELD_PRESETS) if name == "q" else ("map", MAP_PRESETS)
     if cfg.snapshot_path:
-        fields = read_snapshot(cfg.snapshot_path).fields
-        if name not in fields:
+        snap = read_snapshot(cfg.snapshot_path)
+        if (snap.grid, snap.target) != (cfg.grid, cfg.target):
+            raise ConfigError("initial.snapshot",
+                              f"snapshot is {snap.target.kind} on {snap.grid}, the config "
+                              f"{cfg.target.kind} on {cfg.grid}")
+        if name not in snap.fields:
             raise ConfigError("initial.snapshot",
                               f"snapshot has no field {name!r} "
-                              f"(it holds {', '.join(fields) or 'none'})")
-        return fields[name]
+                              f"(it holds {', '.join(snap.fields) or 'none'})")
+        return snap.fields[name]
     if cfg.preset not in table:
         raise ConfigError("initial.preset",
                           f"{cfg.preset!r} is not a {kind} preset "
@@ -98,49 +90,36 @@ def _initial(cfg: RunConfig, table: dict, kind: str, name: str) -> np.ndarray:
     return preset(cfg.grid, **_preset_kwargs(cfg, preset))
 
 
-def initial_field(cfg: RunConfig) -> np.ndarray:
-    """Complex coordinate seed for nls1d-style runs."""
-    return _initial(cfg, FIELD_PRESETS, "field", "q")
+class Plan(NamedTuple):
+    """One experiment, set up and ready to run."""
+
+    states: Iterator  # the t = 0 state, then every logged state
+    row: Callable  # state -> DiagnosticsRow
+    final: Callable  # state -> fields of the final snapshot
+    energy0: float | None  # Dirichlet energy held to ENERGY_DRIFT, if conserved
+    summary: Callable | None  # () -> the roundtrip.json record, after the run
 
 
-def initial_map(cfg: RunConfig) -> np.ndarray:
-    """Ambient map seed for map-side and gauge-extraction runs."""
-    return _initial(cfg, MAP_PRESETS, "map", "u")
+def _march(cfg: RunConfig, state, step) -> Iterator:
+    """`march` of step(state, dt[, epsilon]) over the configured steps and cadence."""
+    args = (cfg.dt,) if cfg.epsilon is None else (cfg.dt, cfg.epsilon)
+    return march(state, lambda s: step(s, *args), cfg.n_steps, cfg.snapshot_every)
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig, config_text: str,
-                    wall_time: float) -> None:
-    manifest = {
-        "run_id": cfg.run_id,
-        "experiment": cfg.experiment,
-        "version": __version__,
-        "wall_time_seconds": wall_time,
-        "config": config_text,
-    }
-    with open(outdir / f"{cfg.run_id}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+def _nls1d(cfg: RunConfig) -> Plan:
+    grid, kappa = cfg.grid, cfg.target.kappa
 
+    def advance(s: gnls.GnlsState) -> gnls.GnlsState:
+        q = gnls.nls1d_step(grid, s.q[0], cfg.dt, kappa)
+        return gnls.GnlsState(grid, cfg.target, s.time + cfg.dt, (q,))
 
-def _write_final(cfg: RunConfig, outdir: Path, time: float, fields: dict) -> None:
-    """Write the final snapshot; a field that is not finite is a failed run."""
-    for name, value in fields.items():
-        if not np.isfinite(np.max(np.abs(value))):  # nan and inf propagate
-            raise SmframeError(f"field {name!r} is not finite at t = {time:g}")
-    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
-                   time, fields)
+    def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
+        return diag.DiagnosticsRow(time=s.time, mass=gnls.nls1d_mass(grid, s.q[0]),
+                                   energy=gnls.nls1d_energy(grid, s.q[0], kappa))
 
-
-def _run_nls1d(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
-    kappa = cfg.target.kappa
-    q = initial_field(cfg)
-    for step in range(1, cfg.n_steps + 1):
-        q = gnls.nls1d_step(cfg.grid, q, cfg.dt, kappa)
-        if step % cfg.snapshot_every == 0:
-            log.append(diag.DiagnosticsRow(
-                time=step * cfg.dt,
-                mass=gnls.nls1d_mass(cfg.grid, q),
-                energy=gnls.nls1d_energy(cfg.grid, q, kappa)))
-    _write_final(cfg, outdir, cfg.n_steps * cfg.dt, {"q": q})
+    state = gnls.GnlsState(grid, cfg.target, 0.0, (_initial(cfg, "q"),))
+    return Plan(march(state, advance, cfg.n_steps, cfg.snapshot_every), row,
+                lambda s: {"q": s.q[0]}, None, None)
 
 
 def _seed_gnls(cfg: RunConfig, u: np.ndarray) -> tuple[gnls.GnlsState, np.ndarray]:
@@ -149,20 +128,20 @@ def _seed_gnls(cfg: RunConfig, u: np.ndarray) -> tuple[gnls.GnlsState, np.ndarra
     return gnls.gnls_seed_from_map(cfg.target, cfg.grid, u, e)
 
 
-def _run_gnls(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
-    advance = _stepper(cfg)
-    state, _ = _seed_gnls(cfg, initial_map(cfg))
-    for step in range(1, cfg.n_steps + 1):
-        state = advance(state)
-        if step % cfg.snapshot_every == 0:
-            # reads q and a only: no q_0, a_0 derived or kept for the residual
-            compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=state.q),
-                                            Connection(a=state.connection()))
-            log.append(diag.DiagnosticsRow(
-                time=state.time, mass=gnls.gnls_mass(state),
-                residual_compat=compat.as_tuple()))
-    _write_final(cfg, outdir, state.time,
-                 {f"q{l + 1}": qi for l, qi in enumerate(state.q)})
+def _gnls(cfg: RunConfig) -> Plan:
+    """gnls and parabolic-gnls from the Coulomb-gauge seed of the initial map."""
+    state, _ = _seed_gnls(cfg, _initial(cfg, "u"))
+
+    def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
+        # reads q and a only: no q_0, a_0 derived or kept for the residual
+        compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=s.q),
+                                        Connection(a=s.connection()))
+        return diag.DiagnosticsRow(time=s.time, mass=gnls.gnls_mass(s),
+                                   residual_compat=compat.as_tuple())
+
+    step = gnls.gnls_step if cfg.experiment == "gnls" else gnls.parabolic_gnls_step
+    return Plan(_march(cfg, state, step), row,
+                lambda s: {f"q{l + 1}": qi for l, qi in enumerate(s.q)}, None, None)
 
 
 def _map_row(state: MapState) -> diag.DiagnosticsRow:
@@ -175,20 +154,17 @@ def _map_row(state: MapState) -> diag.DiagnosticsRow:
         constraint_max=state.constraint_max())
 
 
-def _run_direct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog,
-                kept: list[MapState] | None = None) -> None:
-    """Step the map flow; the initial and every logged state are appended
-    to `kept` when it is given."""
-    advance = _stepper(cfg)
-    keep = (lambda _: None) if kept is None else kept.append
-    state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=initial_map(cfg))
-    keep(state)
-    for step in range(1, cfg.n_steps + 1):
-        state = advance(state)
-        if step % cfg.snapshot_every == 0:
-            log.append(_map_row(state))
-            keep(state)
-    _write_final(cfg, outdir, state.time, {"u": state.u})
+def _map_flow(cfg: RunConfig) -> Plan:
+    """direct-sm, parabolic-sm, and the direct flow of roundtrip."""
+    parabolic = cfg.experiment == "parabolic-sm"
+    if parabolic and cfg.target.kind != "hyperbolic":
+        raise ConfigError("run.target",
+                          f"{cfg.experiment} has no {cfg.target.kind} solver")
+    step = (parabolic_sm_step if parabolic else
+            heisenberg_step if cfg.target.kind == "sphere" else hyperbolic_sm_step)
+    state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=_initial(cfg, "u"))
+    return Plan(_march(cfg, state, step), _map_row, lambda s: {"u": s.u},
+                None if parabolic else diag.energy_map(state), None)
 
 
 def _trajectory(cfg: RunConfig) -> GnlsTrajectory:
@@ -196,75 +172,101 @@ def _trajectory(cfg: RunConfig) -> GnlsTrajectory:
         if cfg.grid.dim != 1 or cfg.target != SPHERE:
             raise ConfigError("initial.preset",
                               "field presets reconstruct 1D sphere maps only")
-        state = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (initial_field(cfg),))
+        state = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (_initial(cfg, "q"),))
     else:
-        state, _ = _seed_gnls(cfg, initial_map(cfg))
+        state, _ = _seed_gnls(cfg, _initial(cfg, "u"))
     return GnlsTrajectory(state=state, dt=cfg.dt)
 
 
-def _run_reconstruct(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
+def _reconstruct(cfg: RunConfig) -> Plan:
+    # the whole reconstruction up front: a row's residual needs the next state
     base = BasePointData(m=cfg.base_m, v0=cfg.base_v0)
     states = reconstruct_trajectory(_trajectory(cfg), base, cfg.n_steps,
                                     cfg.snapshot_every)
+    index = {id(st): i for i, st in enumerate(states)}
     gap_dt = cfg.dt * cfg.snapshot_every
-    for i, st in enumerate(states):
-        if i == 0:
-            continue  # log starts after t=0 (strictly increasing time column)
-        res = np.nan
-        if 0 < i < len(states) - 1:
+
+    def row(st: MapFrameState) -> diag.DiagnosticsRow:
+        i, res = index[id(st)], np.nan
+        if i < len(states) - 1:  # rows start at i = 1, after t = 0
             res = sm_residual(cfg.target, cfg.grid,
                               (states[i - 1], st, states[i + 1]), gap_dt)
-        log.append(diag.DiagnosticsRow(
+        return diag.DiagnosticsRow(
             time=st.time, residual_sm=res,
             constraint_max=float(np.max(np.abs(constraint_defect(cfg.target, st.u)))),
-            periodicity_defect=states[0].periodicity_defect))
-    last = states[-1]
-    _write_final(cfg, outdir, last.time, {"u": last.u, "e": last.e})
+            periodicity_defect=states[0].periodicity_defect)
+
+    return Plan(iter(states), row, lambda st: {"u": st.u, "e": st.e}, None, None)
 
 
-def _run_roundtrip(cfg: RunConfig, outdir: Path, log: diag.DiagnosticsLog) -> None:
+def _roundtrip(cfg: RunConfig) -> Plan:
     """Direct map flow vs gauge-side evolution + reconstruction of one seed."""
-    direct_states: list[MapState] = []
-    _run_direct(cfg, outdir, log, direct_states)
-    u0 = direct_states[0].u
-    gstate, e_fixed = _seed_gnls(cfg, u0)
-    center = cfg.grid.center_index
-    base = BasePointData(m=u0[center], v0=e_fixed[center])
-    recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
-                                   cfg.n_steps, cfg.snapshot_every)
-    report = diag.equivalence_report(direct_states, recon)
-    if not np.isfinite(report.max_gap):
-        raise SmframeError(f"max_gap is not finite at t = {recon[-1].time:g}")
-    summary = {
-        "times": report.times,
-        "geodesic_gap": report.geodesic_gap,
-        "max_gap": report.max_gap,
-        "periodicity_defect": recon[0].periodicity_defect,
-    }
-    with open(outdir / f"{cfg.run_id}.roundtrip.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    direct = _map_flow(cfg)
+    kept = list(direct.states)
+
+    def summary() -> dict:
+        u0 = kept[0].u
+        gstate, e_fixed = _seed_gnls(cfg, u0)
+        center = cfg.grid.center_index
+        base = BasePointData(m=u0[center], v0=e_fixed[center])
+        recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
+                                       cfg.n_steps, cfg.snapshot_every)
+        report = diag.equivalence_report(kept, recon)
+        if not np.isfinite(report.max_gap):
+            raise SmframeError(f"max_gap is not finite at t = {recon[-1].time:g}")
+        return {**asdict(report), "periodicity_defect": recon[0].periodicity_defect}
+
+    return direct._replace(states=iter(kept), summary=summary)
 
 
-_RUNNERS = {
-    "nls1d": _run_nls1d,
-    "gnls": _run_gnls,
-    "parabolic-gnls": _run_gnls,
-    "direct-sm": _run_direct,
-    "parabolic-sm": _run_direct,
-    "reconstruct": _run_reconstruct,
-    "roundtrip": _run_roundtrip,
+#: experiment -> the set-up of its Plan, which checks everything it reads
+#: from the config and the initial data before any output is opened
+PLANS = {
+    "nls1d": _nls1d,
+    "gnls": _gnls,
+    "parabolic-gnls": _gnls,
+    "direct-sm": _map_flow,
+    "parabolic-sm": _map_flow,
+    "reconstruct": _reconstruct,
+    "roundtrip": _roundtrip,
 }
 
 
 def execute(cfg: RunConfig, config_text: str,
             output_override: str | None = None) -> Path:
-    """Run one configured experiment; returns the output directory."""
+    """Run one configured experiment; returns the output directory.  Each
+    state after t = 0 logs a row, and the last one is the final snapshot."""
+    start = _time.perf_counter()
+    plan = PLANS[cfg.experiment](cfg)
     outdir = Path(output_override or cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     log = diag.DiagnosticsLog(outdir, cfg.run_id)
-    start = _time.perf_counter()
-    _RUNNERS[cfg.experiment](cfg, outdir, log)
-    _write_manifest(outdir, cfg, config_text, _time.perf_counter() - start)
+    state = next(plan.states)
+    e0 = plan.energy0
+    for i, state in enumerate(plan.states, 1):
+        row = plan.row(state)
+        log.append(row)
+        if e0 is not None and not abs(row.energy - e0) <= ENERGY_DRIFT * max(e0, 1.0):
+            raise SmframeError(f"energy {row.energy:.6g} left E0 = {e0:.6g} at step "
+                               f"{i * cfg.snapshot_every}, t = {state.time:g}")
+    fields = plan.final(state)
+    for name, value in fields.items():  # a field that is not finite fails the run
+        if not np.isfinite(np.max(np.abs(value))):  # nan and inf propagate
+            raise SmframeError(f"field {name!r} is not finite at t = {state.time:g}")
+    write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
+                   state.time, fields)
+    if plan.summary is not None:
+        with open(outdir / f"{cfg.run_id}.roundtrip.json", "w") as fh:
+            json.dump(plan.summary(), fh, indent=2)
+    manifest = {
+        "run_id": cfg.run_id,
+        "experiment": cfg.experiment,
+        "version": __version__,
+        "wall_time_seconds": _time.perf_counter() - start,
+        "config": config_text,
+    }
+    with open(outdir / f"{cfg.run_id}.manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
     return outdir
 
 

@@ -265,6 +265,15 @@ def test_t_end_must_be_whole_steps(tmp_path, capsys):
     assert "run.t_end" in capsys.readouterr().err
 
 
+def test_t_end_must_be_whole_snapshot_intervals(tmp_path, capsys):
+    # the last logged state is the final snapshot, so it must fall on t_end
+    cfg = _write(tmp_path, NLS1D_CFG.replace("snapshot_every = 5", "snapshot_every = 3"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "run.snapshot_every" in err and "10 steps" in err
+    assert not (tmp_path / "demo.diag.csv").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = Path(smframe.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -382,3 +391,122 @@ def test_roundtrip_needs_no_base_section(tmp_path):
     cfg = _write(tmp_path, ROUNDTRIP_CFG[:ROUNDTRIP_CFG.index("[base]")])
     assert main(["roundtrip", cfg, "--output", str(tmp_path)]) == 0
     assert (tmp_path / "loop.roundtrip.json").exists()
+
+
+def _pair_cfg(experiment, target, n, length, dt, n_steps, preset, extra=""):
+    """A small config of one (experiment, target) pair: 4 steps, a row every 2."""
+    base = {"sphere": "m = 0, 0, 1\nv0 = 1, 0, 0", "hyperbolic": "m = 1, 0, 0\nv0 = 0, 1, 0"}
+    return (f"[run]\nexperiment = {experiment}\ntarget = {target}\ndt = {dt!r}\n"
+            f"t_end = {n_steps * dt!r}\nsnapshot_every = 2\nrun_id = pair\n{extra}\n"
+            f"[grid]\nn = {n}\nlength = {length!r}\n\n[initial]\npreset = {preset}\n"
+            f"\n[base]\n{base[target]}\n")
+
+
+_L1, _L4 = 2 * np.pi, 4 * np.pi
+#: (experiment, target) -> (config, final snapshot fields), every pair the runner accepts
+PAIRS = {
+    ("nls1d", "sphere"): (_pair_cfg("nls1d", "sphere", 64, 10 * _L1, 1e-3, 4, "soliton"), {"q"}),
+    ("nls1d", "hyperbolic"): (_pair_cfg("nls1d", "hyperbolic", 64, 10 * _L1, 1e-3, 4,
+                                        "soliton"), {"q"}),
+    ("gnls", "sphere"): (_pair_cfg("gnls", "sphere", "16, 16", _L4, 1e-3, 4, "sphere-bump"),
+                         {"q1", "q2"}),
+    ("gnls", "hyperbolic"): (_pair_cfg("gnls", "hyperbolic", 32, _L4, 1e-3, 4,
+                                       "gaussian-bump-chi"), {"q1"}),
+    ("parabolic-gnls", "sphere"): (_pair_cfg("parabolic-gnls", "sphere", 32, _L1, 1e-4, 4,
+                                             "perturbed-great-circle", "epsilon = 0.1"), {"q1"}),
+    ("parabolic-gnls", "hyperbolic"): (_pair_cfg("parabolic-gnls", "hyperbolic", "16, 16", _L4,
+                                                 1e-3, 4, "gaussian-bump-chi", "epsilon = 0.1"),
+                                       {"q1", "q2"}),
+    ("direct-sm", "sphere"): (_pair_cfg("direct-sm", "sphere", 32, _L1, 1e-4, 4,
+                                        "perturbed-great-circle"), {"u"}),
+    ("direct-sm", "hyperbolic"): (_pair_cfg("direct-sm", "hyperbolic", "16, 16", _L4, 1e-3, 4,
+                                            "gaussian-bump-chi"), {"u"}),
+    ("parabolic-sm", "hyperbolic"): (_pair_cfg("parabolic-sm", "hyperbolic", "16, 16", _L4, 1e-3,
+                                               4, "gaussian-bump-chi", "epsilon = 0.1"), {"u"}),
+    ("reconstruct", "sphere"): (_pair_cfg("reconstruct", "sphere", 32, _L1, 1e-4, 4,
+                                          "perturbed-great-circle"), {"u", "e"}),
+    ("reconstruct", "hyperbolic"): (_pair_cfg("reconstruct", "hyperbolic", 32, _L4, 1e-3, 4,
+                                              "gaussian-bump-chi"), {"u", "e"}),
+    ("roundtrip", "sphere"): (_pair_cfg("roundtrip", "sphere", 32, _L1, 1e-4, 4,
+                                        "perturbed-great-circle"), {"u"}),
+    ("roundtrip", "hyperbolic"): (_pair_cfg("roundtrip", "hyperbolic", 32, _L4, 1e-3, 4,
+                                            "gaussian-bump-chi"), {"u"}),
+}
+
+
+def test_runner_table_covers_every_experiment():
+    from smframe.config import EXPERIMENTS
+    from smframe.runner import PLANS
+    assert tuple(PLANS) == EXPERIMENTS
+    assert {e for e, _ in PAIRS} == set(EXPERIMENTS)
+
+
+@pytest.mark.filterwarnings("ignore::smframe.errors.MeanHolonomy")
+@pytest.mark.parametrize("pair", list(PAIRS), ids="-".join)
+def test_every_accepted_pair_runs_through_the_cli(tmp_path, pair):
+    text, names = PAIRS[pair]
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 0
+    times = [r.time for r in read_diagnostics(tmp_path / "pair.diag.csv")]
+    assert len(times) == 4 // 2
+    assert all(math.isfinite(t) for t in times)
+    assert all(b > a for a, b in zip(times, times[1:]))
+    snap = read_snapshot(tmp_path / "pair.final.smfs")
+    assert set(snap.fields) == names
+    assert all(np.all(np.isfinite(v)) for v in snap.fields.values())
+    assert snap.time == pytest.approx(times[-1])
+    assert (tmp_path / "pair.manifest.json").is_file()
+    assert (tmp_path / "pair.roundtrip.json").is_file() == (pair[0] == "roundtrip")
+
+
+def test_rejected_pair_leaves_earlier_outputs_unchanged(tmp_path, capsys):
+    # parabolic-sm has no sphere solver; the run must fail before it opens
+    # the CSV that an earlier run with the same run_id wrote
+    earlier = tmp_path / "pair.diag.csv"
+    earlier.write_text("time\n0.5\n")
+    text = _pair_cfg("parabolic-sm", "sphere", 32, _L1, 1e-4, 4, "perturbed-great-circle",
+                     "epsilon = 0.1")
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 2
+    assert "run.target" in capsys.readouterr().err
+    assert earlier.read_text() == "time\n0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.diag.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("experiment", ["direct-sm", "roundtrip"])
+def test_energy_drift_of_a_conservative_flow_exits_3(tmp_path, capsys, experiment):
+    # a stationary great circle stepped at dt = 5, far past stability: its
+    # state stays finite while the energy goes from 4 pi to 2171 at step 2
+    text = (DIRECT_CFG.replace("experiment = direct-sm", f"experiment = {experiment}")
+            .replace("dt = 1e-4\nt_end = 1e-3\nsnapshot_every = 5",
+                     "dt = 5\nt_end = 50\nsnapshot_every = 1")
+            .replace("length = 6.283185307179586", "length = 12.566370614359172")
+            .replace("perturbed-great-circle", "great-circle"))
+    with pytest.warns(CFLViolation):
+        assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "energy 2170.99" in err and "E0 = 12.5664" in err and "step 2, t = 10" in err
+    assert not (tmp_path / "flow.final.smfs").exists()
+
+
+@pytest.mark.parametrize("experiment", ["direct-sm", "gnls", "roundtrip"])
+def test_snapshot_of_another_target_is_config_error(tmp_path, capsys, experiment):
+    g = Grid((64,), (6.283185307179586,))
+    snap = tmp_path / "map.smfs"
+    write_snapshot(snap, g, geo.SPHERE, 0.0, {"u": presets.great_circle(g)})
+    text = (DIRECT_CFG.replace("experiment = direct-sm", f"experiment = {experiment}")
+            .replace("target = sphere", "target = hyperbolic")
+            .replace("preset = perturbed-great-circle", f"snapshot = {snap}"))
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.snapshot" in err and "sphere" in err and "hyperbolic" in err
+    assert not (tmp_path / "flow.diag.csv").exists()
+
+
+def test_snapshot_on_another_grid_is_config_error(tmp_path, capsys):
+    small = Grid((32, 32), (12.566370614359172,) * 2)
+    snap = tmp_path / "bump.smfs"
+    write_snapshot(snap, small, geo.SPHERE, 0.0, {"u": presets.sphere_bump_2d(small)})
+    text = (GNLS_CFG.replace("n = 32, 32", "n = 64, 64")
+            .replace("preset = sphere-bump", f"snapshot = {snap}"))
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.snapshot" in err and "(32, 32)" in err and "(64, 64)" in err

@@ -6,7 +6,7 @@ import pytest
 from smframe import geometry as geo
 from smframe import presets
 from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
-                                 EquivalenceReport, convergence_order,
+                                 convergence_order,
                                  energy_map, equivalence_report,
                                  lorentz_weighted_energy, read_diagnostics)
 from smframe.direct import MapState, map_moment
@@ -118,7 +118,6 @@ def test_equivalence_report_identical_runs():
     rep = equivalence_report(run, run)
     assert rep.max_gap == 0.0
     assert rep.times == pytest.approx([0.0, 0.1, 0.2])
-    assert rep.slope is None
 
 
 def test_equivalence_report_cadence_checks():
@@ -130,16 +129,6 @@ def test_equivalence_report_cadence_checks():
     other[1] = MapState(grid=g, target=geo.SPHERE, time=0.15, u=other[1].u)
     with pytest.raises(CadenceMismatch):
         equivalence_report(run, other)
-
-
-def test_equivalence_report_slope_from_coarse():
-    g = Grid((32,), (2 * np.pi,))
-    run = _trajectory(g)
-    coarse = EquivalenceReport(times=[], geodesic_gap=[], max_gap=4e-4)
-    rep = equivalence_report(run, _trajectory(g, shift=1e-4), coarse=coarse)
-    assert rep.max_gap > 0.0
-    assert rep.slope == pytest.approx(
-        convergence_order(4e-4, rep.max_gap), abs=1e-12)
 
 
 def test_convergence_order():

@@ -4,7 +4,7 @@ import pytest
 from smframe import geometry as geo
 from smframe import presets
 from smframe.direct import (MapState, flux_divergence, heisenberg_step,
-                            hyperbolic_sm_step, hyperbolic_view, map_moment,
+                            hyperbolic_sm_step, map_moment,
                             parabolic_sm_step)
 from smframe.errors import CFLViolation, InvalidStep
 from smframe.field import Grid
@@ -93,20 +93,6 @@ def test_parabolic_flow_decays_moment_monotonically():
         moments.append(map_moment(st)[0])
     assert all(b <= a for a, b in zip(moments, moments[1:]))
     assert st.constraint_max() < 1e-12
-
-
-def test_hyperbolic_view_coordinates():
-    g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
-    st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
-                  u=presets.gaussian_bump_chi(g, 0.6, 0.8))
-    chi, theta, mask = hyperbolic_view(st)
-    assert np.max(np.abs(np.cosh(chi) - st.u[..., 0])) < 1e-10
-    # theta = 0 on this preset wherever it is defined (u2 = 0, u1 > 0)
-    assert np.max(np.abs(theta[mask])) < 1e-10
-    # undefined at the far corners where the bump has decayed to the apex
-    assert not mask[0, 0]
-    with pytest.raises(ValueError):
-        hyperbolic_view(_constant_state(geo.SPHERE, g))
 
 
 def test_map_moment_conventions():

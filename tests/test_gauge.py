@@ -13,15 +13,14 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            compatibility_residual, coulomb_fix,
                            covariant_derivative, exponential_gauge_connection,
                            exponential_gauge_curl_residual,
-                           extract_coordinates, frame_from_reference,
-                           gauge_transform, remove_mean_connection,
+                           extract_coordinates, gauge_transform, remove_mean_connection,
                            rotate_frame, validate_frame)
 
 
 def _great_circle_setup(n=64, boxes=4):
     g = Grid((n,), (2 * np.pi * boxes,))
     u = presets.great_circle(g, turns=boxes)
-    e = frame_from_reference(geo.SPHERE, u, np.array([0.0, 0.0, 1.0]))
+    e = geo.orthonormalize_frame(geo.SPHERE, u, np.broadcast_to([0.0, 0.0, 1.0], u.shape))
     return g, u, e
 
 

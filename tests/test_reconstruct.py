@@ -13,14 +13,13 @@ from smframe.errors import CFLViolation, InvalidStep, MeanHolonomy
 from smframe.field import Grid
 from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            coulomb_fix, extract_coordinates,
-                           frame_from_reference, remove_mean_connection,
-                           rotate_frame)
+                           remove_mean_connection, rotate_frame)
 from smframe.gnls import CFL_CONSTANT, GnlsState, gnls_seed_from_map, gnls_step
 from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
                                  GnlsTrajectory, _line_samples, _magnus_generator,
                                  _propagator, initial_data_sweep,
                                  reconstruct_trajectory, sm_residual,
-                                 time_evolve_point, uniqueness_gap)
+                                 time_evolve_point)
 
 
 def test_base_point_validation():
@@ -51,7 +50,7 @@ def test_zero_data_gives_constant_map():
 def test_sweep_recovers_great_circle():
     g = Grid((512,), (16 * np.pi,))
     u = presets.great_circle(g, turns=8)
-    e = frame_from_reference(geo.SPHERE, u, np.array([0.0, 0.0, 1.0]))
+    e = geo.orthonormalize_frame(geo.SPHERE, u, np.broadcast_to([0.0, 0.0, 1.0], u.shape))
     coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
     c = g.center_index[0]
     st = initial_data_sweep(geo.SPHERE, g, coords, conn,
@@ -218,22 +217,32 @@ def _soliton_run(g, base, n_steps, dt):
     return reconstruct_trajectory(_soliton_trajectory(g, dt), base, n_steps)
 
 
+def _frame_gap(run_a, run_b):
+    """max over (t, x) of |u - u~| + |e - e~| + |Je - Je~|: the whole
+    orthonormal triple, the quantity the uniqueness argument controls."""
+    gap = 0.0
+    for sa, sb in zip(run_a, run_b, strict=True):
+        fa = geo.j_apply(geo.SPHERE, sa.u, sa.e)
+        fb = geo.j_apply(geo.SPHERE, sb.u, sb.e)
+        total = (np.linalg.norm(sa.u - sb.u, axis=-1) + np.linalg.norm(sa.e - sb.e, axis=-1)
+                 + np.linalg.norm(fa - fb, axis=-1))
+        gap = max(gap, float(np.max(total)))
+    return gap
+
+
 def test_reconstruction_is_deterministic_and_stable_in_base():
     g = Grid((128,), (10 * np.pi,))
     base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     run_a = _soliton_run(g, base, 10, 1e-3)
     run_b = _soliton_run(g, base, 10, 1e-3)
-    assert uniqueness_gap(geo.SPHERE, run_a, run_b) == 0.0
+    assert _frame_gap(run_a, run_b) == 0.0
 
     delta = 1e-6
     m2 = geo.retract(geo.SPHERE, base.m + np.array([delta, 0.0, 0.0]))
     v2 = geo.orthonormalize_frame(geo.SPHERE, m2, base.v0)
     run_c = _soliton_run(g, BasePointData(m2, v2), 10, 1e-3)
-    gap = uniqueness_gap(geo.SPHERE, run_a, run_c)
+    gap = _frame_gap(run_a, run_c)
     assert 0.0 < gap < 50 * delta
-
-    with pytest.raises(ValueError):
-        uniqueness_gap(geo.SPHERE, run_a, run_c[:-1])
 
 
 def test_reconstructed_trajectory_satisfies_map_equation():
