@@ -68,25 +68,14 @@ class DiagnosticsRow:
 _VECTOR_FIELDS = ("moment", "killing", "residual_compat")
 
 
-def _csv_header() -> list[str]:
-    cols: list[str] = []
+def _columns():
+    """(CSV column, DiagnosticsRow field, vector component or None), in order."""
     for f in dc_fields(DiagnosticsRow):
         if f.name in _VECTOR_FIELDS:
-            cols.extend(f"{f.name}_{i + 1}" for i in range(3))
+            for i in range(3):
+                yield f"{f.name}_{i + 1}", f.name, i
         else:
-            cols.append(f.name)
-    return cols
-
-
-def _row_values(row: DiagnosticsRow) -> list[float]:
-    vals: list[float] = []
-    for f in dc_fields(DiagnosticsRow):
-        v = getattr(row, f.name)
-        if f.name in _VECTOR_FIELDS:
-            vals.extend(float(x) for x in v)
-        else:
-            vals.append(float(v))
-    return vals
+            yield f.name, f.name, None
 
 
 class DiagnosticsLog:
@@ -96,7 +85,7 @@ class DiagnosticsLog:
         self.path = Path(directory) / f"{run_id}.diag.csv"
         self._last_time: float | None = None
         with open(self.path, "w", newline="") as fh:
-            csv.writer(fh).writerow(_csv_header())
+            csv.writer(fh).writerow(col for col, _, _ in _columns())
 
     def append(self, row: DiagnosticsRow) -> None:
         row.validate()
@@ -105,7 +94,9 @@ class DiagnosticsLog:
                 f"time must increase: {row.time} after {self._last_time}")
         self._last_time = row.time
         with open(self.path, "a", newline="") as fh:
-            csv.writer(fh).writerow(f"{v!r}" for v in _row_values(row))
+            csv.writer(fh).writerow(
+                repr(float(getattr(row, name) if i is None else getattr(row, name)[i]))
+                for _, name, i in _columns())
 
 
 def read_diagnostics(path) -> list[DiagnosticsRow]:
@@ -114,12 +105,9 @@ def read_diagnostics(path) -> list[DiagnosticsRow]:
         reader = csv.DictReader(fh)
         for rec in reader:
             kwargs = {}
-            for f in dc_fields(DiagnosticsRow):
-                if f.name in _VECTOR_FIELDS:
-                    kwargs[f.name] = tuple(
-                        float(rec[f"{f.name}_{i + 1}"]) for i in range(3))
-                else:
-                    kwargs[f.name] = float(rec[f.name])
+            for col, name, i in _columns():
+                value = float(rec[col])
+                kwargs[name] = value if i is None else kwargs.get(name, ()) + (value,)
             rows.append(DiagnosticsRow(**kwargs))
     return rows
 

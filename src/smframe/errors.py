@@ -50,4 +50,5 @@ class CFLViolation(UserWarning):
 
 
 class MeanHolonomy(UserWarning):
-    """1D parallel gauge has a nonzero holonomy phase around the torus."""
+    """`remove_mean_connection` gauged away a mean connection whose torus
+    holonomy on an axis exceeds 2 pi 1e-8; warned once per such axis, 1D or 2D."""

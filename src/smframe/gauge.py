@@ -152,46 +152,46 @@ def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> Connection:
     """Radial-transport (exponential) gauge from the curvature two-form.
 
     Reconstructs a_k(x) = int_0^1 x^l F_lk(s x) s ds about the box center,
-    so x^1 a_1 + x^2 a_2 = 0 pointwise.  The ray integral is composite
-    Simpson; off-lattice curvature values come from periodic cubic
-    interpolation, so the construction is meaningful for curvature
-    supported in the box interior.  Each ray takes 4 max(n) Simpson samples.
+    so x^1 a_1 + x^2 a_2 = 0 pointwise.  f12(s x) is the trigonometric
+    interpolant of the samples, E_1(s) F E_2(s)^T with F their spectrum and
+    E_a(s)[j, m] = exp(i k_m (s x_j + L_a/2)) (the Nyquist column its cosine
+    representative), and the ray integral is Gauss-Legendre in s, so for
+    band-limited f12 it is exact up to quadrature.  s x never leaves the
+    box, so the torus seam does not enter; only the curl check
+    (`exponential_gauge_curl_residual`) stays interior, because a decays
+    like 1/|x| and is not periodic.
     """
     if grid.dim != 2:
         raise ValueError("exponential gauge reconstruction needs d = 2")
-    # imported here: loading scipy.ndimage costs every CLI start ~0.4 s
-    from scipy.ndimage import map_coordinates
-    m = 4 * max(grid.n)  # even, as Simpson's rule needs
-    s = np.linspace(0.0, 1.0, m + 1)
-    weights = np.ones(m + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (1.0 / m) / 3.0
+    fh = np.fft.fft2(f12, norm="forward")
 
-    x1, x2 = grid.coords()
-    h1, h2 = grid.spacing
-    c1, c2 = grid.center_index
+    def modes(axis, s):
+        y = s * grid.axis_coord(axis) + grid.length[axis] / 2
+        e = np.exp(1j * np.multiply.outer(y, grid.wavenumber(axis)))
+        nyquist = grid.n[axis] // 2
+        e[:, nyquist] = e[:, nyquist].real
+        return e
+
     radial = np.zeros(grid.shape)  # int_0^1 f12(s x) s ds
-    for si, wi in zip(s, weights):
-        if si == 0.0:
-            continue  # integrand carries a factor s
-        idx1 = si * x1 / h1 + c1
-        idx2 = si * x2 / h2 + c2
-        vals = map_coordinates(f12, [idx1, idx2], order=3, mode="grid-wrap")
-        radial += wi * si * vals
-    a1 = -x2 * radial
-    a2 = x1 * radial
-    return Connection(a=(a1, a2))
+    for s, w in zip(*_ray_quadrature(max(grid.n) + 32)):
+        radial += w * s * (modes(0, s) @ fh @ modes(1, s).T).real
+    x1, x2 = grid.coords()
+    return Connection(a=(-x2 * radial, x1 * radial))
+
+
+def _ray_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [0, 1]."""
+    s, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (s + 1.0), 0.5 * w
 
 
 def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
                                     f12: np.ndarray) -> float:
     """max |curl a - f12| over the central half of the box (per axis).
 
-    The radial-transport connection is not periodic (it decays only like
-    1/|x|), so its curl is formed with local fourth-order centered
-    differences and checked away from the torus seam, where the
-    construction is meaningful.
+    The radial-transport connection decays only like 1/|x| and is not
+    periodic, so its curl is formed with local fourth-order centered
+    differences and checked away from the torus seam.
     """
     def fd(f, axis):
         h = grid.spacing[axis]

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry as geo
+from .direct import flux_divergence
 from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
 from .gauge import Connection, Coordinates
@@ -286,7 +287,6 @@ def sm_residual(target: geo.Target, grid: Grid,
     the middle state, in the max norm.
     """
     prev, mid, nxt = states
-    from .direct import flux_divergence
     dudt = (nxt.u - prev.u) / (2.0 * dt)
     res = dudt - flux_divergence(target, grid, mid.u)
     return float(np.max(np.abs(res)))

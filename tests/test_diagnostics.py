@@ -93,6 +93,16 @@ def test_diagnostics_log_roundtrip(tmp_path):
     assert math.isnan(back[1].moment[0])
 
 
+def test_diagnostics_csv_header(tmp_path):
+    # perfbench and external readers address the columns by these names
+    log = DiagnosticsLog(tmp_path, "runH")
+    assert log.path.read_text().splitlines() == [",".join([
+        "time", "mass", "energy", "moment_1", "moment_2", "moment_3",
+        "killing_1", "killing_2", "killing_3", "residual_compat_1",
+        "residual_compat_2", "residual_compat_3", "residual_sm",
+        "constraint_max", "periodicity_defect"])]
+
+
 def test_diagnostics_log_requires_increasing_time(tmp_path):
     log = DiagnosticsLog(tmp_path, "runB")
     log.append(DiagnosticsRow(time=0.5))

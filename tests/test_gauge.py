@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from smframe import gauge
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import FrameInvalid, MeanHolonomy
@@ -269,14 +270,47 @@ def test_compatibility_residual_small_for_extracted_data():
     assert rep2.dq_symmetry > 1e-3
 
 
-def test_exponential_gauge_radial_identity_and_curl():
-    g, u, e = _bump_setup()
+def _bump_curvature(n):
+    g, u, e = _bump_setup(n)
     coords, _ = extract_coordinates(geo.SPHERE, g, u, e)
-    f12 = geo.curvature_f(geo.SPHERE, coords.q[0], coords.q[1])
+    return g, geo.curvature_f(geo.SPHERE, coords.q[0], coords.q[1])
+
+
+def _cosine_ray_integral(theta):
+    """int_0^1 s cos(s theta) ds = (cos theta + theta sin theta - 1) / theta^2."""
+    small = np.abs(theta) < 1e-3
+    t = np.where(small, 1.0, theta)
+    return np.where(small, 0.5 - theta**2 / 8 + theta**4 / 144,
+                    (np.cos(t) + t * np.sin(t) - 1.0) / t**2)
+
+
+def test_exponential_gauge_radial_identity_and_curl():
+    g, f12 = _bump_curvature(64)
     conn = exponential_gauge_connection(g, f12)
     x1, x2 = g.coords()
     assert np.max(np.abs(x1 * conn.a[0] + x2 * conn.a[1])) < 1e-12
     assert exponential_gauge_curl_residual(g, conn, f12) < 5e-3
+    # on one Fourier mode cos(k.x), k = m / 4 on the 8 pi box, the ray
+    # integral has a closed form; (16, 0) at 32 points is the Nyquist mode
+    for n, m in ((64, (3, 2)), (64, (10, -7)), (32, (16, 0))):
+        g = Grid((n, n), (8 * np.pi, 8 * np.pi))
+        x1, x2 = g.coords()
+        theta = (m[0] * x1 + m[1] * x2) / 4
+        conn = exponential_gauge_connection(g, np.cos(theta))
+        radial = _cosine_ray_integral(theta)
+        assert np.max(np.abs(conn.a[0] + x2 * radial)) < 1e-12
+        assert np.max(np.abs(conn.a[1] - x1 * radial)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_exponential_gauge_converges_in_ray_nodes(monkeypatch, n):
+    g, f12 = _bump_curvature(n)
+    conn = exponential_gauge_connection(g, f12)
+    quadrature = gauge._ray_quadrature
+    monkeypatch.setattr(gauge, "_ray_quadrature", lambda m: quadrature(2 * m))
+    doubled = exponential_gauge_connection(g, f12)
+    for ak, bk in zip(conn.a, doubled.a):
+        assert np.max(np.abs(ak - bk)) < 1e-13
 
 
 def test_best_reference_frame_picks_nondegenerate_axis():

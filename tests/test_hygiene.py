@@ -1,11 +1,13 @@
 """Package hygiene, checked with the standard library `ast` only.
 
 Every import in the package modules is used (`__init__.py` is skipped: its
-imports are the package's re-exports), and every defaulted parameter of a
-package function is set by some call in `src/`, `tests/` or `perfbench/`.
+imports are the package's re-exports) and comes from the standard library,
+NumPy or the package itself, and every defaulted parameter of a package
+function is set by some call in `src/`, `tests/` or `perfbench/`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,23 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [msg for p in modules for msg in _unused_imports(p)] == []
+
+
+def test_runtime_imports_are_stdlib_numpy_or_package():
+    # function-local imports count too: NumPy is the only runtime dependency
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one (the package's own)
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in
+                        sys.stdlib_module_names | {"numpy", "smframe"}]
+    assert foreign == []
 
 
 def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
