@@ -1,13 +1,15 @@
 """Direct geometric integrators on the map side.
 
-The Heisenberg flow on S^2 and the divergence-form flow on H^2,
+The Heisenberg flow on S^2 and its counterpart on H^2,
 
     du/dt = d_k ( u x d_k u )          (sphere)
     du/dt = eta d_k ( u x d_k u )      (hyperboloid)
 
-are stepped with classical RK4 on the divergence form (whose integral is
+are one equation, the Heisenberg model and its non-compact form, and one
+step serves both: classical RK4 on the divergence form (whose integral is
 killed exactly by the spectral derivative, so int u is conserved to the
-retraction error), followed by a retraction onto the constraint set.
+retraction error), followed by a retraction onto the constraint set.  A
+failed retraction is retried once as two half steps.
 
 The parabolic perturbation of the hyperbolic flow,
 
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, divergence, gradient, integrate, lawson_heun, rk4, roll_axes
-from .gnls import check_cfl
+from .field import Grid, check_cfl, divergence, gradient, integrate, lawson_heun, rk4, \
+    roll_axes
 
 
 @dataclass(frozen=True)
@@ -66,31 +68,22 @@ def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray,
 
 
 def heisenberg_step(state: MapState, dt: float) -> MapState:
-    """RK4 step of the Heisenberg model du/dt = d_k(u x d_k u) on S^2."""
-    if state.target.kind != "sphere":
-        raise ValueError("heisenberg_step needs a sphere target")
-    check_cfl(state.grid, dt)
-    u = rk4(lambda s, v: flux_divergence(state.target, state.grid, v), state.u, dt)
-    return replace(state, time=state.time + dt, u=geo.retract(state.target, u))
+    """RK4 step of the divergence-form flow, then a retraction: the
+    Heisenberg model on S^2, its non-compact (SU(1,1)) form on H^2.
 
-
-def hyperbolic_sm_step(state: MapState, dt: float, _retried: bool = False) -> MapState:
-    """RK4 step of du/dt = eta d_k(u x d_k u) on H^2.
-
-    A failed Lorentz retraction signals instability: the step is retried
-    once with two half steps, then the failure propagates.
+    A failed retraction signals instability: the step is taken once more
+    as two half steps, and a second failure propagates.
     """
-    if state.target.kind != "hyperbolic":
-        raise ValueError("hyperbolic_sm_step needs a hyperbolic target")
     check_cfl(state.grid, dt)
+    tg, grid = state.target, state.grid
+
+    def advance(u, h):
+        return geo.retract(tg, rk4(lambda s, v: flux_divergence(tg, grid, v), u, h))
+
     try:
-        u = rk4(lambda s, v: flux_divergence(state.target, state.grid, v), state.u, dt)
-        u = geo.retract(state.target, u)
+        u = advance(state.u, dt)
     except DegenerateRetraction:
-        if _retried:
-            raise
-        half = hyperbolic_sm_step(state, dt / 2.0, _retried=True)
-        return hyperbolic_sm_step(half, dt / 2.0, _retried=True)
+        u = advance(advance(state.u, dt / 2.0), dt / 2.0)
     return replace(state, time=state.time + dt, u=u)
 
 

@@ -22,12 +22,13 @@ mode; even ones (the Poisson and Lawson factors) keep it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonZeroMean
+from .errors import CFLViolation, InvalidStep, NonZeroMean
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,19 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     fh *= grid.dealias_mask.reshape(grid.shape + (1,) * (f.ndim - grid.dim))
     out = np.fft.ifftn(fh, axes=tuple(range(grid.dim)))
     return out if np.iscomplexobj(f) else out.real
+
+
+#: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
+CFL_CONSTANT = 0.5 / np.pi**2
+
+
+def check_cfl(grid: Grid, dt: float) -> None:
+    if dt <= 0:
+        raise InvalidStep(f"dt must be positive, got {dt}")
+    limit = CFL_CONSTANT * min(grid.spacing) ** 2
+    if dt > limit:
+        warnings.warn(f"dt = {dt:.3e} exceeds dispersive stability estimate "
+                      f"{limit:.3e}", CFLViolation)
 
 
 def rk4(f, y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:

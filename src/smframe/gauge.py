@@ -28,8 +28,6 @@ from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
 from .field import Grid, divergence, gradient, poisson_solve, spectral_derivative
 
-FRAME_TOL = 1e-8
-
 
 @dataclass
 class Coordinates:
@@ -49,10 +47,10 @@ class Connection:
 
 def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray) -> None:
     """Check the pointwise frame invariants: unit norm and tangency."""
-    geo.check_on_manifold(target, u, FRAME_TOL)
+    geo.check_on_manifold(target, u)
     norm_defect = np.max(np.abs(geo.inner(target, e, e) - 1.0))
     tangency_defect = np.max(np.abs(geo.inner(target, e, u)))
-    if norm_defect > FRAME_TOL or tangency_defect > FRAME_TOL:
+    if norm_defect > geo.CONSTRAINT_TOL or tangency_defect > geo.CONSTRAINT_TOL:
         raise FrameInvalid(
             f"frame defects: |<e,e>-1| = {norm_defect:.3e}, |<e,u>| = {tangency_defect:.3e}"
         )
@@ -69,7 +67,7 @@ def best_reference_frame(target: geo.Target, u: np.ndarray) -> np.ndarray:
         score = float(np.min(geo.inner(target, p, p)))
         if score > best_score:
             best, best_score = ref, score
-    if best_score <= FRAME_TOL:
+    if best_score <= geo.CONSTRAINT_TOL:
         raise FrameInvalid(
             "no constant reference vector yields a frame on this map")
     return geo.orthonormalize_frame(target, u, np.broadcast_to(best, u.shape))

@@ -66,10 +66,11 @@ def constraint_defect(target: Target, u: np.ndarray) -> np.ndarray:
     return inner(target, u, u) - target.kappa
 
 
-def check_on_manifold(target: Target, u: np.ndarray, tol: float = CONSTRAINT_TOL) -> None:
+def check_on_manifold(target: Target, u: np.ndarray) -> None:
     defect = np.max(np.abs(constraint_defect(target, u)))
-    if defect > tol:
-        raise FrameInvalid(f"point off the {target.kind} by {defect:.3e} (tol {tol:.1e})")
+    if defect > CONSTRAINT_TOL:
+        raise FrameInvalid(f"point off the {target.kind} by {defect:.3e} "
+                           f"(tol {CONSTRAINT_TOL:.1e})")
     if target.kind == "hyperbolic" and np.min(np.asarray(u)[..., 0]) <= 0:
         raise FrameInvalid("hyperboloid point with u0 <= 0")
 
@@ -123,12 +124,6 @@ def normalize_tangent(target: Target, v: np.ndarray) -> np.ndarray:
 def orthonormalize_frame(target: Target, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Project e tangent at u and normalize; used after every discrete transport."""
     return normalize_tangent(target, project_tangent(target, u, e))
-
-
-def complex_to_vector(target: Target, u: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Realize the complex frame coordinate z as Re(z) e + Im(z) Je."""
-    z = np.asarray(z)
-    return z.real[..., np.newaxis] * e + z.imag[..., np.newaxis] * j_apply(target, u, e)
 
 
 def curvature_f(target: Target, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

@@ -21,31 +21,17 @@ the centered data), emulating decay at infinity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import geometry as geo
-from .errors import CFLViolation, InvalidStep, SmframeError
-from .field import Grid, dealias, integrate, lawson_heun, poisson_solve, rk4, \
+from .errors import InvalidStep, SmframeError
+from .field import Grid, check_cfl, dealias, integrate, lawson_heun, poisson_solve, rk4, \
     spectral_derivative
 from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
     extract_coordinates, remove_mean_connection, rotate_frame
-
-#: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
-CFL_CONSTANT = 0.5 / np.pi**2
-
-
-def check_cfl(grid: Grid, dt: float) -> None:
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
-    limit = CFL_CONSTANT * min(grid.spacing) ** 2
-    if dt > limit:
-        warnings.warn(f"dt = {dt:.3e} exceeds dispersive stability estimate "
-                      f"{limit:.3e}", CFLViolation)
-
 
 # ---------------------------------------------------------------------------
 # 1D cubic NLS

@@ -33,7 +33,7 @@ from . import geometry as geo
 from .direct import flux_divergence
 from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
-from .gauge import Connection, Coordinates
+from .gauge import Connection, Coordinates, validate_frame
 from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
 
 
@@ -45,15 +45,11 @@ class BasePointData:
     v0: np.ndarray
 
     def validate(self, target: geo.Target) -> None:
-        tol = geo.CONSTRAINT_TOL
         try:
-            geo.check_on_manifold(target, self.m)
+            validate_frame(target, self.m, self.v0)
         except FrameInvalid as exc:
-            raise ValueError(f"m is not a point of the target: {exc}") from exc
-        if abs(geo.inner(target, self.v0, self.m)) > tol:
-            raise ValueError("v0 is not tangent at m")
-        if abs(geo.inner(target, self.v0, self.v0) - 1.0) > tol:
-            raise ValueError("v0 is not unit in the target metric")
+            raise ValueError("m is not a point of the target or v0 is not a unit "
+                             f"tangent at m: {exc}") from exc
 
 
 @dataclass(frozen=True)

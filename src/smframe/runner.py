@@ -22,8 +22,7 @@ from . import __version__
 from . import diagnostics as diag
 from . import gnls, presets
 from .config import RunConfig
-from .direct import (MapState, heisenberg_step, hyperbolic_sm_step, map_moment,
-                     parabolic_sm_step)
+from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .errors import ConfigError, SmframeError
 from .field import march
 from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
@@ -160,8 +159,7 @@ def _map_flow(cfg: RunConfig) -> Plan:
     if parabolic and cfg.target.kind != "hyperbolic":
         raise ConfigError("run.target",
                           f"{cfg.experiment} has no {cfg.target.kind} solver")
-    step = (parabolic_sm_step if parabolic else
-            heisenberg_step if cfg.target.kind == "sphere" else hyperbolic_sm_step)
+    step = parabolic_sm_step if parabolic else heisenberg_step
     state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=_initial(cfg, "u"))
     return Plan(_march(cfg, state, step), _map_row, lambda s: {"u": s.u},
                 None if parabolic else diag.energy_map(state), None)

@@ -13,8 +13,7 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.diagnostics import (convergence_order, energy_map,
                                  lorentz_weighted_energy)
-from smframe.direct import (MapState, heisenberg_step, hyperbolic_sm_step,
-                            map_moment, parabolic_sm_step)
+from smframe.direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from smframe.field import Grid, integrate
 from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            compatibility_residual, coulomb_fix,
@@ -198,7 +197,7 @@ def test_criterion_07_conservation_suite():
                      u=presets.gaussian_bump_chi(g, 0.4, 1.0))
     kil0, en0 = map_moment(state), energy_map(state)
     for _ in range(n_steps):
-        state = hyperbolic_sm_step(state, dt)
+        state = heisenberg_step(state, dt)
     drift_h = max(float(np.max(np.abs(map_moment(state) - kil0))),
                   abs(energy_map(state) - en0))
 
@@ -294,7 +293,7 @@ def test_criterion_10_parabolic_limit():
             for eps in epsilons}
     gaps = {eps: 0.0 for eps in epsilons}
     for step in range(1, n_steps + 1):
-        ref = hyperbolic_sm_step(ref, dt)
+        ref = heisenberg_step(ref, dt)
         for eps in epsilons:
             runs[eps] = parabolic_sm_step(runs[eps], dt, eps)
         if step % sample_every == 0:

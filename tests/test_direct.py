@@ -3,10 +3,9 @@ import pytest
 
 from smframe import geometry as geo
 from smframe import presets
-from smframe.direct import (MapState, flux_divergence, heisenberg_step,
-                            hyperbolic_sm_step, map_moment,
+from smframe.direct import (MapState, flux_divergence, heisenberg_step, map_moment,
                             parabolic_sm_step)
-from smframe.errors import CFLViolation, InvalidStep
+from smframe.errors import CFLViolation, DegenerateRetraction, InvalidStep
 from smframe.field import Grid
 
 
@@ -17,10 +16,9 @@ def _constant_state(target, grid):
 
 def test_constant_maps_are_fixed_points():
     g = Grid((32,), (2 * np.pi,))
-    for target, step in ((geo.SPHERE, heisenberg_step),
-                         (geo.HYPERBOLIC, hyperbolic_sm_step)):
+    for target in (geo.SPHERE, geo.HYPERBOLIC):
         st = _constant_state(target, g)
-        st2 = step(st, 1e-4)
+        st2 = heisenberg_step(st, 1e-4)
         assert np.max(np.abs(st2.u - st.u)) < 1e-14
         assert st2.time == pytest.approx(1e-4)
     st = _constant_state(geo.HYPERBOLIC, g)
@@ -40,15 +38,40 @@ def test_great_circle_is_stationary():
 def test_target_kind_is_enforced():
     g = Grid((32,), (2 * np.pi,))
     with pytest.raises(ValueError):
-        heisenberg_step(_constant_state(geo.HYPERBOLIC, g), 1e-4)
-    with pytest.raises(ValueError):
-        hyperbolic_sm_step(_constant_state(geo.SPHERE, g), 1e-4)
-    with pytest.raises(ValueError):
         parabolic_sm_step(_constant_state(geo.SPHERE, g), 1e-4, 0.1)
     with pytest.raises(InvalidStep):
         parabolic_sm_step(_constant_state(geo.HYPERBOLIC, g), -1.0, 0.1)
     with pytest.raises(InvalidStep):
         parabolic_sm_step(_constant_state(geo.HYPERBOLIC, g), 1e-4, 0.0)
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC], ids=lambda t: t.kind)
+def test_failed_retraction_is_redone_as_two_half_steps(target, monkeypatch):
+    g = Grid((32, 16), (4 * np.pi, 4 * np.pi))
+    u = (presets.sphere_bump_2d(g, 0.5, 1.0) if target.kind == "sphere"
+         else presets.gaussian_bump_chi(g, 0.5, 0.8))
+    st = MapState(grid=g, target=target, time=0.25, u=u)
+    halves = heisenberg_step(heisenberg_step(st, 5e-5), 5e-5)
+    retract, calls = geo.retract, []
+
+    def fail_first(tg, w):
+        calls.append(tg)
+        if len(calls) == 1:
+            raise DegenerateRetraction("injected")
+        return retract(tg, w)
+
+    monkeypatch.setattr(geo, "retract", fail_first)
+    st2 = heisenberg_step(st, 1e-4)
+    assert len(calls) == 3
+    assert np.array_equal(st2.u, halves.u)
+    assert st2.time == st.time + 1e-4
+
+    def fail(tg, w):
+        raise DegenerateRetraction("injected")
+
+    monkeypatch.setattr(geo, "retract", fail)
+    with pytest.raises(DegenerateRetraction):
+        heisenberg_step(st, 1e-4)
 
 
 def test_cfl_warning_on_coarse_step():
@@ -77,7 +100,7 @@ def test_hyperbolic_flow_preserves_constraint_and_moment():
     st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0, u=u0)
     mom0 = map_moment(st)
     for _ in range(50):
-        st = hyperbolic_sm_step(st, 1e-4)
+        st = heisenberg_step(st, 1e-4)
     assert st.constraint_max() < 1e-12
     assert np.max(np.abs(map_moment(st) - mom0)) < 1e-10
     assert np.min(st.u[..., 0]) >= 1.0
@@ -116,7 +139,7 @@ def test_parabolic_step_takes_six_real_transform_pairs(fft_census):
 
 
 @pytest.mark.parametrize("target,step", [
-    (geo.SPHERE, heisenberg_step), (geo.HYPERBOLIC, hyperbolic_sm_step),
+    (geo.SPHERE, heisenberg_step), (geo.HYPERBOLIC, heisenberg_step),
     (geo.HYPERBOLIC, lambda st, dt: parabolic_sm_step(st, dt, 0.1))])
 def test_steppers_keep_components_contiguous(target, step):
     g = Grid((32, 16), (4 * np.pi, 4 * np.pi))

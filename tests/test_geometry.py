@@ -85,14 +85,6 @@ def test_orthonormalize_frame():
         assert np.max(np.abs(geo.inner(target, e, u))) < 1e-12
 
 
-def test_complex_to_vector_realizes_coordinates():
-    u = np.array([0.0, 0.0, 1.0])
-    e = np.array([1.0, 0.0, 0.0])
-    v = geo.complex_to_vector(geo.SPHERE, u, e, np.array(2.0 + 3.0j))
-    je = geo.j_apply(geo.SPHERE, u, e)
-    assert np.allclose(v, 2.0 * e + 3.0 * je)
-
-
 def test_curvature_coefficient_values_and_antisymmetry():
     qa = np.array(1.0 + 0.0j)
     qb = np.array(0.0 + 1.0j)

@@ -8,8 +8,8 @@ import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
-from smframe.field import Grid, integrate, spectral_derivative
-from smframe.gnls import (GnlsState, check_cfl, connection_from_coordinates,
+from smframe.field import Grid, check_cfl, integrate, spectral_derivative
+from smframe.gnls import (GnlsState, connection_from_coordinates,
                           gnls_dissipation, gnls_mass, gnls_rhs,
                           gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)

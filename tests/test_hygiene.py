@@ -2,8 +2,9 @@
 
 Every import in the package modules is used (`__init__.py` is skipped: its
 imports are the package's re-exports) and comes from the standard library,
-NumPy or the package itself, and every defaulted parameter of a package
-function is set by some call in `src/`, `tests/` or `perfbench/`.
+NumPy or the package itself; the map side (`direct.py`) imports no
+gauge-side module; and every defaulted parameter of a package function is
+set by some call in `src/`, `tests/` or `perfbench/`.
 """
 
 import ast
@@ -48,6 +49,17 @@ def test_runtime_imports_are_stdlib_numpy_or_package():
                         if name.split(".")[0] not in
                         sys.stdlib_module_names | {"numpy", "smframe"}]
     assert foreign == []
+
+
+def test_map_side_imports_only_field_geometry_and_errors():
+    own = []
+    for node in ast.walk(ast.parse((SRC / "direct.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            own += [(node.lineno, name) for name in
+                    ([node.module] if node.module else [a.name for a in node.names])]
+    assert own
+    assert [f"direct.py:{line}: {name}" for line, name in own
+            if name not in ("field", "geometry", "errors")] == []
 
 
 def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:

@@ -10,11 +10,11 @@ import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, MeanHolonomy
-from smframe.field import Grid
+from smframe.field import CFL_CONSTANT, Grid
 from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            coulomb_fix, extract_coordinates,
                            remove_mean_connection, rotate_frame)
-from smframe.gnls import CFL_CONSTANT, GnlsState, gnls_seed_from_map, gnls_step
+from smframe.gnls import GnlsState, gnls_seed_from_map, gnls_step
 from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
                                  GnlsTrajectory, _line_samples, _magnus_generator,
                                  _propagator, initial_data_sweep,
