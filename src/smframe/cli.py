@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "version":
             print(__version__)
             return EXIT_OK
-    except (ConfigError, FormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FormatError, OSError, ValueError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SmframeError, FloatingPointError) as exc:

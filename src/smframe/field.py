@@ -13,11 +13,12 @@ so the box center is an exact grid point (index n/2 on every axis).
 On real data `gradient`, `divergence` and `lawson_heun` use real transforms
 over the grid axes, component axes moved first (`roll_axes`) so each component
 is one contiguous block.  `spectral_derivative` takes one transform pair along
-its axis: a real pair (`rfft`/`irfft`) on real input, such as the GNLS
-elliptic right-hand sides, and a complex pair on complex q.  `poisson_solve`
-takes real right-hand sides of the grid's shape and solves on the half
-spectrum.  Odd operators (derivatives, gradient, divergence) zero the Nyquist
-mode; even ones (the Poisson and Lawson factors) keep it.
+its axis (a real pair on real input).  The GNLS right-hand side does not use
+it: it differentiates on the spectrum of one n-D transform per field, with the
+per-axis multipliers `Grid.ik` and `Grid.half_ik`.  `poisson_solve` takes a
+real right-hand side of the grid's shape, or its `rfftn` half spectrum, and
+solves on the half spectrum.  Odd operators (derivatives, gradient, divergence)
+zero the Nyquist mode; even ones (the Poisson and Lawson factors) keep it.
 """
 
 from __future__ import annotations
@@ -104,10 +105,14 @@ class Grid:
         return self.k_squared[..., :self.n[-1] // 2 + 1]
 
     @cached_property
+    def ik(self) -> tuple[np.ndarray, ...]:
+        """Per-axis i k on the full spectrum, Nyquist zeroed (odd operators)."""
+        return tuple(1j * _bcast(self, axis, k, 0) for axis, k in enumerate(self.odd_wavenumbers))
+
+    @cached_property
     def half_ik(self) -> tuple[np.ndarray, ...]:
-        """Per-axis i k on the rfftn half spectrum, Nyquist zeroed (odd operators)."""
-        return tuple(1j * _bcast(self, axis, k, 0)[..., :self.n[-1] // 2 + 1]
-                     for axis, k in enumerate(self.odd_wavenumbers))
+        """`ik` on the rfftn half spectrum."""
+        return tuple(ik[..., :self.n[-1] // 2 + 1] for ik in self.ik)
 
     @cached_property
     def poisson_denominator(self) -> np.ndarray:
@@ -174,19 +179,20 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
 
 
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Unique mean-zero phi with (spectral) Laplacian(phi) = rhs, for real
-    rhs of the grid's shape; the Nyquist mode is kept.
+    """Unique mean-zero phi with (spectral) Laplacian(phi) = rhs, for a real
+    rhs of the grid's shape or its (complex) `rfftn` half spectrum; the
+    Nyquist mode is kept.
 
-    Raises NonZeroMean when the torus solvability condition fails; that
-    signals broken divergence structure upstream, not a numerical issue here.
+    Raises NonZeroMean when the torus solvability condition fails (the zero
+    mode is checked against the max-norm); that signals broken divergence
+    structure upstream, not a numerical issue here.
     """
     rhs = np.asarray(rhs)
-    scale = np.max(np.abs(rhs))
-    mean = abs(np.mean(rhs))
-    if scale > 0 and mean > 1e-10 * scale:
+    spectral, points = np.iscomplexobj(rhs), np.prod(grid.shape)
+    ph = (rhs if spectral else _rfft(grid, rhs)) / grid.poisson_denominator
+    mean = abs(ph.flat[0]) / points  # exactly 0 on a derivative's spectrum
+    if mean and mean > 1e-10 * (scale := np.max(np.abs(rhs)) / (points if spectral else 1)):
         raise NonZeroMean(f"poisson rhs mean {mean:.3e} exceeds 1e-10 * max {scale:.3e}")
-    ph = _rfft(grid, rhs)
-    ph /= grid.poisson_denominator
     ph.flat[0] = 0.0
     return -_irfft(grid, ph)
 
@@ -201,15 +207,6 @@ def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:
     if total.ndim == 0:
         return total.item()
     return total
-
-
-def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation: zero every mode with |k_axis| > n_axis/3."""
-    f = np.asarray(f)
-    fh = np.fft.fftn(f, axes=tuple(range(grid.dim)))
-    fh *= grid.dealias_mask.reshape(grid.shape + (1,) * (f.ndim - grid.dim))
-    out = np.fft.ifftn(fh, axes=tuple(range(grid.dim)))
-    return out if np.iscomplexobj(f) else out.real
 
 
 #: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2

@@ -9,8 +9,11 @@ sign, the d-dimensional Coulomb-gauge systems
     Delta a_0 = d_l f_l0,                      f_l0 = kappa <q_l, i q_0>,
 
 with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
-= (eps + i) / (1 + eps^2) for its parabolic perturbation.  Both flows
-derive (a, q_0, a_0) and the right-hand side in the same two functions.
+= (eps + i) / (1 + eps^2) for its parabolic perturbation.  Both flows derive
+(a, q_0, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
+gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
+of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
+the 2/3-rule truncation, and a, a_0 are Poisson solves of half spectra.
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidStep, SmframeError
-from .field import Grid, check_cfl, dealias, integrate, lawson_heun, poisson_solve, rk4, \
+from .field import Grid, _rfft, check_cfl, integrate, lawson_heun, poisson_solve, rk4, \
     spectral_derivative
 from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
     extract_coordinates, remove_mean_connection, rotate_frame
@@ -79,48 +82,59 @@ def nls1d_energy(grid: Grid, q: np.ndarray, kappa: int) -> float:
 
 def connection_from_coordinates(target: geo.Target, grid: Grid,
                                 q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Spatial Coulomb connection: Delta a_j = d_k f_kj, mean zero.
-
-    In 1D the curvature two-form vanishes and a_1 is identically zero.
-    """
+    """Spatial Coulomb connection: Delta a_j = d_k f_kj, mean zero, solved on
+    the spectrum of f_12.  In 1D the curvature two-form vanishes and a_1 = 0."""
     if grid.dim == 1:
         return (np.zeros(grid.shape),)
-    f12 = geo.curvature_f(target, q[0], q[1])
-    a1 = poisson_solve(grid, -spectral_derivative(grid, f12, 1))
-    a2 = poisson_solve(grid, spectral_derivative(grid, f12, 0))
-    return (a1, a2)
+    fh = _rfft(grid, geo.curvature_f(target, q[0], q[1]))
+    ik1, ik2 = grid.half_ik
+    return (poisson_solve(grid, -ik2 * fh), poisson_solve(grid, ik1 * fh))
 
 
 def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                q0: np.ndarray) -> np.ndarray:
     """Solve Delta a_0 = d_l f_l0 with f_l0 = kappa <q_l, i q_0>, corner-anchored."""
-    rhs = sum(spectral_derivative(grid, geo.curvature_f(target, q[l], q0), l)
-              for l in range(grid.dim))
-    a0 = poisson_solve(grid, rhs)
+    a0 = poisson_solve(grid, sum(ik * _rfft(grid, geo.curvature_f(target, ql, q0))
+                                 for ik, ql in zip(grid.half_ik, q)))
     return a0 - a0[(0,) * grid.dim]  # vanishes at the box corner (index 0...0)
 
 
-def _derive_fields(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
-                   mu: complex) -> tuple[Coordinates, Connection]:
-    """Coordinates (q, q_0 = mu D_k q_k) and the Coulomb connection (a, a_0)."""
+def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
+            lap: complex):
+    """(q, q_0 = mu D_k q_k), the Coulomb connection (a, a_0), and per l the
+    2/3-rule truncated spectrum of dq_l/dt less (mu - lap) Delta q_l, where
+    dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l."""
     a = connection_from_coordinates(target, grid, q)
-    q0 = mu * sum(covariant_derivative(grid, q[k], a[k], k) for k in range(grid.dim))
-    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0_from_q0(target, grid, q, q0))
-
-
-def _covariant_rhs(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
-                   conn: Connection, mu: complex) -> list[np.ndarray]:
-    """dq_l/dt = -i a_0 q_l + mu (D_k D_k q_l + i sum_k f_lk q_k) for each l."""
-    a, out = conn.a, []
-    for l in range(grid.dim):
-        dq = [covariant_derivative(grid, q[l], a[k], k) for k in range(grid.dim)]
-        cov_lap = sum(covariant_derivative(grid, dqk, a[k], k) for k, dqk in enumerate(dq))
-        rhs = -1j * conn.a0 * q[l] + mu * cov_lap
-        for k in range(grid.dim):
-            if k != l:  # f_ll = 0 exactly
-                rhs += (1j * mu) * (geo.curvature_f(target, q[l], q[k]) * q[k])
-        out.append(rhs)
-    return out
+    f12 = geo.curvature_f(target, q[0], q[-1])  # f_ll = 0, so f = 0 in 1D
+    qh = [np.fft.fftn(ql) for ql in q]
+    r, q0 = [], 0.0  # q0 sums D_k q_k until scaled by mu
+    for l, ql in enumerate(q):
+        rl = 0.0  # 2 a_k d_k q_l + f_lk q_k
+        for k, (ik, ak) in enumerate(zip(grid.ik, a)):
+            dq = np.fft.ifftn(ik * qh[l])
+            if k == l:
+                q0 = q0 + (dq + 1j * ak * ql)
+            dq *= 2.0 * ak
+            rl += dq
+            del dq  # freed before the next transform, where a step's memory peaks
+        if grid.dim == 2:
+            rl += f12 * q[1 - l]
+            f12 *= -1.0  # f_21 for l = 2
+        r.append(rl)
+    del f12
+    q0 *= mu
+    a0 = a0_from_q0(target, grid, q, q0)
+    c = mu * sum(ak * ak for ak in a) + 1j * a0
+    spectra = []
+    for ql in q:  # r_l and the spectrum of q_l are freed once used
+        rl, spectrum = r.pop(0), qh.pop(0)
+        rl *= 1j * mu
+        rl -= c * ql
+        spectrum *= -lap * grid.k_squared
+        spectrum += np.fft.fftn(rl)
+        spectrum *= grid.dealias_mask
+        spectra.append(spectrum)
+    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0), spectra
 
 
 @dataclass(frozen=True)
@@ -137,14 +151,14 @@ class GnlsState:
 
     def fields(self) -> tuple[Coordinates, Connection]:
         """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0),
-        derived once per state object."""
-        return self._fields
+        derived once per state object together with `gnls_rhs`'s spectra."""
+        return self._fields[:2]
 
     @cached_property
-    def _fields(self) -> tuple[Coordinates, Connection]:
+    def _fields(self) -> tuple:
         # kept in the instance __dict__, outside the dataclass fields, so
         # dataclasses.replace never carries it to a state with another q
-        return _derive_fields(self.target, self.grid, self.q, 1j)
+        return _derive(self.target, self.grid, self.q, 1j, 1j)
 
 
 def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
@@ -179,10 +193,9 @@ def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 def gnls_rhs(state: GnlsState) -> np.ndarray:
-    """Right-hand side dq_l/dt of the Coulomb-gauge system, components last."""
-    _, conn = state.fields()
-    rhs = _covariant_rhs(state.target, state.grid, state.q, conn, 1j)
-    return _stack([dealias(state.grid, r) for r in rhs])
+    """Right-hand side dq_l/dt of the Coulomb-gauge system, components last,
+    2/3-rule truncated."""
+    return _stack([np.fft.ifftn(spectrum) for spectrum in state._fields[2]])
 
 
 def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> GnlsState:
@@ -217,15 +230,11 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
         raise InvalidStep(f"epsilon must lie in (0, 1], got {epsilon}")
     tg, grid = state.target, state.grid
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
-    mu_k2 = mu * grid.k_squared
 
     def nonlinear(y):
-        # dealias(rhs_l - mu Lap q_l) in one spectral pass per component
-        q = _unstack(y)
-        _, conn = _derive_fields(tg, grid, q, mu)
-        rhs = _covariant_rhs(tg, grid, q, conn, mu)
-        return _stack([np.fft.ifftn(grid.dealias_mask * (np.fft.fftn(r) + mu_k2 * np.fft.fftn(ql)))
-                       for r, ql in zip(rhs, q)])
+        # the right-hand side less mu Lap q_l, dealiased
+        spectra = _derive(tg, grid, _unstack(y), mu, 0.0)[2]
+        return _stack([np.fft.ifftn(spectrum) for spectrum in spectra])
 
     q = state.q
     qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))

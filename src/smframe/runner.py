@@ -86,7 +86,11 @@ def _initial(cfg: RunConfig, name: str) -> np.ndarray:
                           f"{cfg.preset!r} is not a {kind} preset "
                           f"(expected one of {', '.join(table)})")
     preset = table[cfg.preset]
-    return preset(cfg.grid, **_preset_kwargs(cfg, preset))
+    try:
+        return preset(cfg.grid, **_preset_kwargs(cfg, preset))
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError("initial.preset",
+                          f"preset {cfg.preset!r} failed on its parameters: {exc}") from exc
 
 
 class Plan(NamedTuple):

@@ -510,3 +510,61 @@ def test_snapshot_on_another_grid_is_config_error(tmp_path, capsys):
     assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "initial.snapshot" in err and "(32, 32)" in err and "(64, 64)" in err
+
+
+def test_diagnose_of_a_directory_is_config_error(tmp_path, capsys):
+    assert main(["diagnose", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_snapshot_that_is_a_directory_is_config_error(tmp_path, capsys):
+    folder = tmp_path / "map.smfs"
+    folder.mkdir()
+    text = GNLS_CFG.replace("preset = sphere-bump", f"snapshot = {folder}")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert str(folder) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_that_is_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["run", _write(tmp_path, NLS1D_CFG), "--output", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("target, preset", [("hyperbolic", "gaussian-bump-chi"),
+                                            ("sphere", "sphere-bump")])
+def test_preset_overflow_is_config_error(tmp_path, capsys, target, preset):
+    # width**2 overflows a float; the run must stop before any output is opened
+    text = _pair_cfg("gnls", target, "16, 16", _L4, 1e-3, 4, preset).replace(
+        f"preset = {preset}\n", f"preset = {preset}\nwidth = 1e200\n")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert "initial.preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: target -> (preset, max_gap at 64^2 measured with the config below)
+ROUNDTRIP_2D = {"sphere": ("sphere-bump", 1.10e-6), "hyperbolic": ("gaussian-bump-chi", 2.64e-9)}
+
+
+@pytest.mark.filterwarnings("ignore::smframe.errors.MeanHolonomy")
+@pytest.mark.parametrize("target", list(ROUNDTRIP_2D))
+def test_2d_roundtrip_gap_converges_spectrally(tmp_path, target):
+    # the direct flow against GNLS evolution plus reconstruction in 2D: the
+    # gap (32^2: 9.0e-5 on S2, 8.9e-6 on H2) falls by far more than 10x at
+    # 64^2; a first-order time transport leaves it at 1.8e-3 and 4.4e-5
+    preset, measured = ROUNDTRIP_2D[target]
+    gaps = []
+    for n in (32, 64):
+        text = (f"[run]\nexperiment = roundtrip\ntarget = {target}\ndt = 1e-3\nt_end = 0.1\n"
+                f"snapshot_every = 25\nrun_id = rt{n}\n\n"
+                f"[grid]\nn = {n}, {n}\nlength = {_L4!r}\n\n"
+                f"[initial]\npreset = {preset}\namplitude = 0.3\nwidth = 1.0\n")
+        assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 0
+        gaps.append(json.loads((tmp_path / f"rt{n}.roundtrip.json").read_text())["max_gap"])
+    assert gaps[1] < 10.0 * measured
+    assert gaps[1] <= gaps[0] / 10.0
