@@ -17,10 +17,9 @@ from .geometry import HYPERBOLIC, SPHERE, Target, target_from_name
 from .field import Grid
 from .gauge import (CompatReport, Connection, Coordinates,
                     best_reference_frame, compatibility_residual, coulomb_fix,
-                    covariant_derivative, exponential_gauge_connection,
-                    exponential_gauge_curl_residual, extract_coordinates,
-                    gauge_transform, remove_mean_connection, rotate_frame,
-                    validate_frame)
+                    exponential_gauge_connection, exponential_gauge_curl_residual,
+                    extract_coordinates, gauge_transform, remove_mean_connection,
+                    rotate_frame, validate_frame)
 from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
                    gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                    parabolic_gnls_step)

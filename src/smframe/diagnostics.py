@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .direct import MapState, dirichlet_density
-from .errors import CadenceMismatch, NegativeEnergy
+from .errors import CadenceMismatch, NegativeEnergy, SmframeError
 from .field import integrate
 
 
@@ -93,10 +93,12 @@ class DiagnosticsLog:
             raise ValueError(
                 f"time must increase: {row.time} after {self._last_time}")
         self._last_time = row.time
+        values = [float(getattr(row, name) if i is None else getattr(row, name)[i])
+                  for _, name, i in _columns()]
+        if any(map(math.isinf, values)):  # a finite state can overflow a functional
+            raise SmframeError(f"a logged value is infinite at t = {row.time:g}")
         with open(self.path, "a", newline="") as fh:
-            csv.writer(fh).writerow(
-                repr(float(getattr(row, name) if i is None else getattr(row, name)[i]))
-                for _, name, i in _columns())
+            csv.writer(fh).writerow(map(repr, values))
 
 
 def read_diagnostics(path) -> list[DiagnosticsRow]:

@@ -203,14 +203,6 @@ def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
     return float(np.max(np.abs((curl - f12)[interior])))
 
 
-def covariant_derivative(grid: Grid, q: np.ndarray, a: np.ndarray,
-                         axis: int) -> np.ndarray:
-    """D_axis q = (d_axis + i a_axis) q for complex q."""
-    dq = spectral_derivative(grid, q, axis)
-    dq += 1j * a * q
-    return dq
-
-
 @dataclass
 class CompatReport:
     """Max-norm residuals of the three compatibility conditions."""
@@ -235,8 +227,9 @@ def compatibility_residual(target: geo.Target, grid: Grid, coords: Coordinates,
     r2 = r3 = 0.0
     for l in range(grid.dim):
         for k in range(l + 1, grid.dim):
-            sym = covariant_derivative(grid, q[l], a[k], k) \
-                - covariant_derivative(grid, q[k], a[l], l)
+            # D_k q_l - D_l q_k with D_k q_l = d_k q_l + i a_k q_l
+            sym = (spectral_derivative(grid, q[l], k) + 1j * a[k] * q[l]) \
+                - (spectral_derivative(grid, q[k], l) + 1j * a[l] * q[k])
             r2 = max(r2, float(np.max(np.abs(sym))))
             curl = da[l, ..., k] - da[k, ..., l]
             r3 = max(r3, float(np.max(np.abs(curl - geo.curvature_f(target, q[l], q[k])))))

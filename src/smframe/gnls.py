@@ -13,7 +13,8 @@ with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
 (a, q_0, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
 gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
 of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
-the 2/3-rule truncation, and a, a_0 are Poisson solves of half spectra.
+the 2/3-rule truncation, and a, a_0 are Poisson solves of half spectra.  Each
+`GnlsState` memoizes its pass, which `fields()` and `gnls_rhs` both read.
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -33,8 +34,8 @@ from . import geometry as geo
 from .errors import InvalidStep, SmframeError
 from .field import Grid, _rfft, check_cfl, integrate, lawson_heun, poisson_solve, rk4, \
     spectral_derivative
-from .gauge import Connection, Coordinates, coulomb_fix, covariant_derivative, \
-    extract_coordinates, remove_mean_connection, rotate_frame
+from .gauge import Connection, Coordinates, coulomb_fix, extract_coordinates, \
+    remove_mean_connection, rotate_frame
 
 # ---------------------------------------------------------------------------
 # 1D cubic NLS
@@ -101,8 +102,8 @@ def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
 
 def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
             lap: complex):
-    """(q, q_0 = mu D_k q_k), the Coulomb connection (a, a_0), and per l the
-    2/3-rule truncated spectrum of dq_l/dt less (mu - lap) Delta q_l, where
+    """(q, q_0 = mu D_k q_k), the Coulomb connection (a, a_0), and dq_l/dt less
+    (mu - lap) Delta q_l, 2/3-rule truncated, components last and read-only, where
     dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l."""
     a = connection_from_coordinates(target, grid, q)
     f12 = geo.curvature_f(target, q[0], q[-1])  # f_ll = 0, so f = 0 in 1D
@@ -134,7 +135,10 @@ def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: compl
         spectrum += np.fft.fftn(rl)
         spectrum *= grid.dealias_mask
         spectra.append(spectrum)
-    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0), spectra
+    del c, rl  # freed before the inverse transforms: interleaved, they raise the peak RSS
+    rhs = _stack([np.fft.ifftn(spectrum) for spectrum in spectra])
+    rhs.flags.writeable = False
+    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0), rhs
 
 
 @dataclass(frozen=True)
@@ -146,12 +150,9 @@ class GnlsState:
     time: float
     q: tuple[np.ndarray, ...]
 
-    def connection(self) -> tuple[np.ndarray, ...]:
-        return connection_from_coordinates(self.target, self.grid, self.q)
-
     def fields(self) -> tuple[Coordinates, Connection]:
         """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0),
-        derived once per state object together with `gnls_rhs`'s spectra."""
+        derived once per state object together with `gnls_rhs`."""
         return self._fields[:2]
 
     @cached_property
@@ -194,8 +195,8 @@ def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def gnls_rhs(state: GnlsState) -> np.ndarray:
     """Right-hand side dq_l/dt of the Coulomb-gauge system, components last,
-    2/3-rule truncated."""
-    return _stack([np.fft.ifftn(spectrum) for spectrum in state._fields[2]])
+    2/3-rule truncated; the state's memo, so read-only."""
+    return state._fields[2]
 
 
 def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> GnlsState:
@@ -233,8 +234,7 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
 
     def nonlinear(y):
         # the right-hand side less mu Lap q_l, dealiased
-        spectra = _derive(tg, grid, _unstack(y), mu, 0.0)[2]
-        return _stack([np.fft.ifftn(spectrum) for spectrum in spectra])
+        return _derive(tg, grid, _unstack(y), mu, 0.0)[2]
 
     q = state.q
     qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))
@@ -259,11 +259,11 @@ def gnls_mass(state: GnlsState) -> float:
 
 def gnls_dissipation(state: GnlsState) -> float:
     """int sum_{k,l} |D_k q_l|^2 + |<q_k, i q_l>|^2 (the dissipated density)."""
-    grid = state.grid
-    a = state.connection()
+    grid, q = state.grid, state.q
+    a = connection_from_coordinates(state.target, grid, q)
     total = np.zeros(grid.shape)
     for l in range(grid.dim):
-        for k in range(grid.dim):
-            total += np.abs(covariant_derivative(grid, state.q[l], a[k], k)) ** 2
-            total += np.real(state.q[k] * np.conj(1j * state.q[l])) ** 2
+        for k in range(grid.dim):  # D_k q_l = d_k q_l + i a_k q_l
+            total += np.abs(spectral_derivative(grid, q[l], k) + 1j * a[k] * q[l]) ** 2
+            total += np.real(q[k] * np.conj(1j * q[l])) ** 2
     return integrate(grid, total)

@@ -103,10 +103,11 @@ def sphere_bump_2d(grid: Grid, amplitude: float = 0.5,
     """
     if grid.dim != 2:
         raise ValueError("sphere bump preset is two-dimensional")
+    two_w2 = 2.0 * width**2  # a float overflow raises here, before numpy warns of it
     x1 = grid.axis_coord(0)[:, np.newaxis]
     x2 = grid.axis_coord(1)[np.newaxis, :]
     u = np.zeros(grid.shape + (3,))
-    u[..., 0] = amplitude * np.exp(-((x1 - width)**2 + x2**2) / (2.0 * width**2))
-    u[..., 1] = amplitude * np.exp(-(x1**2 + (x2 + width)**2) / (2.0 * width**2))
+    u[..., 0] = amplitude * np.exp(-((x1 - width)**2 + x2**2) / two_w2)
+    u[..., 1] = amplitude * np.exp(-(x1**2 + (x2 + width)**2) / two_w2)
     u[..., 2] = 1.0
     return geo.retract(geo.SPHERE, u)

@@ -8,14 +8,14 @@ plus one base point (m, v0), integrate
 
 first along the spatial axes from the box center (axis 1 through the
 center line, then axis 2 from every point of that line), then pointwise in
-time using (q_0, a_0) at each step's start, midpoint and end.  The time
-data come from one trajectory, the Coulomb-gauge GNLS (`GnlsTrajectory`);
-in 1D its a_1 = 0 and it is the cubic NLS.  The frame F = [u, e, Je]
-obeys the linear equation F' = F A with A in so(3) (S^2) or so(2,1)
-(H^2), so each step is a 4th-order Magnus step whose exponential has a
-closed form (`_propagator`, shared by both transports) and keeps F on its
-group to round-off.  The sweep samples (q, a) between grid points by zero
-padding, and retracts and re-orthonormalizes once, at its output; the time
+time using (q_0, a_0) at each step's start, midpoint and end, from the
+Coulomb-gauge GNLS (`GnlsTrajectory`; in 1D a_1 = 0 and it is the cubic
+NLS), each of whose steps starts from the memo of the last end state.  The
+frame F = [u, e, Je] obeys F' = F A with A in so(3) (S^2) or so(2,1) (H^2),
+so each step is a 4th-order Magnus step whose exponential has a closed form
+(`_propagator`, shared by both transports) and keeps F on its group to
+round-off.  The sweep samples (q, a) between grid points by zero padding,
+and retracts and re-orthonormalizes once, at its output; the time
 transport does so after every step.
 
 The construction lives on the torus while the underlying identities hold
@@ -238,19 +238,17 @@ class GnlsTrajectory:
 
     state: GnlsState
     dt: float
-    #: (state, gnls_rhs(state)) at the end of the last step, the next k1
-    _end = (None, None)
 
     def advance(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Step the trajectory by dt and return [(q0, a0)] at t, t+dt/2, t+dt."""
         s0, dt = self.state, self.dt
-        f0 = self._end[1] if self._end[0] is s0 else gnls_rhs(s0)
+        f0 = gnls_rhs(s0)  # first same as last: the last step's f1, memoized on s0
         s1 = gnls_step(s0, dt, k1=f0)
-        f1 = gnls_rhs(s1)  # first same as last: the next step's k1
+        f1 = gnls_rhs(s1)
         # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
         q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
         s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
-        self.state, self._end = s1, (s1, f1)
+        self.state = s1
         fields = [s.fields() for s in (s0, s_mid, s1)]
         return [(coords.q0, conn.a0) for coords, conn in fields]
 

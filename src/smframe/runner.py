@@ -23,10 +23,10 @@ from . import diagnostics as diag
 from . import gnls, presets
 from .config import RunConfig
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
-from .errors import ConfigError, SmframeError
+from .errors import ConfigError, FrameInvalid, SmframeError
 from .field import march
 from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
-from .geometry import SPHERE, constraint_defect
+from .geometry import SPHERE, check_on_manifold, constraint_defect
 from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
                           reconstruct_trajectory, sm_residual)
 from .snapshot import read_snapshot, write_snapshot
@@ -68,29 +68,36 @@ def _preset_kwargs(cfg: RunConfig, preset) -> dict:
 
 
 def _initial(cfg: RunConfig, name: str) -> np.ndarray:
-    """Initial q (complex coordinate) or u (ambient map): snapshot or preset."""
+    """Finite initial q (complex coordinate) or u (ambient map on the target)."""
     kind, table = ("field", FIELD_PRESETS) if name == "q" else ("map", MAP_PRESETS)
+    source = "initial.snapshot" if cfg.snapshot_path else "initial.preset"
     if cfg.snapshot_path:
         snap = read_snapshot(cfg.snapshot_path)
         if (snap.grid, snap.target) != (cfg.grid, cfg.target):
-            raise ConfigError("initial.snapshot",
-                              f"snapshot is {snap.target.kind} on {snap.grid}, the config "
-                              f"{cfg.target.kind} on {cfg.grid}")
+            raise ConfigError(source, f"snapshot is {snap.target.kind} on {snap.grid}, the "
+                              f"config {cfg.target.kind} on {cfg.grid}")
         if name not in snap.fields:
-            raise ConfigError("initial.snapshot",
-                              f"snapshot has no field {name!r} "
+            raise ConfigError(source, f"snapshot has no field {name!r} "
                               f"(it holds {', '.join(snap.fields) or 'none'})")
-        return snap.fields[name]
-    if cfg.preset not in table:
-        raise ConfigError("initial.preset",
-                          f"{cfg.preset!r} is not a {kind} preset "
+        value = snap.fields[name]
+    elif cfg.preset not in table:
+        raise ConfigError(source, f"{cfg.preset!r} is not a {kind} preset "
                           f"(expected one of {', '.join(table)})")
-    preset = table[cfg.preset]
-    try:
-        return preset(cfg.grid, **_preset_kwargs(cfg, preset))
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError("initial.preset",
-                          f"preset {cfg.preset!r} failed on its parameters: {exc}") from exc
+    else:
+        preset = table[cfg.preset]
+        try:
+            value = preset(cfg.grid, **_preset_kwargs(cfg, preset))
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(source, f"preset {cfg.preset!r} failed on its parameters: "
+                              f"{exc}") from exc
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(source, f"initial {kind} {name!r} is not finite")
+    if name == "u":
+        try:
+            check_on_manifold(cfg.target, value)
+        except FrameInvalid as exc:
+            raise ConfigError(source, f"initial map is not on the target: {exc}") from exc
+    return value
 
 
 class Plan(NamedTuple):
@@ -137,8 +144,8 @@ def _gnls(cfg: RunConfig) -> Plan:
 
     def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
         # reads q and a only: no q_0, a_0 derived or kept for the residual
-        compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=s.q),
-                                        Connection(a=s.connection()))
+        a = gnls.connection_from_coordinates(cfg.target, cfg.grid, s.q)
+        compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=s.q), Connection(a=a))
         return diag.DiagnosticsRow(time=s.time, mass=gnls.gnls_mass(s),
                                    residual_compat=compat.as_tuple())
 

@@ -20,8 +20,8 @@ from smframe.gauge import (Connection, Coordinates, best_reference_frame,
                            exponential_gauge_connection,
                            exponential_gauge_curl_residual,
                            extract_coordinates, gauge_transform, rotate_frame)
-from smframe.gnls import (GnlsState, gnls_dissipation, gnls_mass,
-                          gnls_seed_from_map, gnls_step, nls1d_mass,
+from smframe.gnls import (GnlsState, connection_from_coordinates, gnls_dissipation,
+                          gnls_mass, gnls_seed_from_map, gnls_step, nls1d_mass,
                           nls1d_step, parabolic_gnls_step)
 from smframe.reconstruct import (BasePointData, GnlsTrajectory,
                                  initial_data_sweep, reconstruct_trajectory,
@@ -116,7 +116,7 @@ def test_criterion_04_compatibility_persistence():
     def compat(st):
         return compatibility_residual(
             st.target, st.grid, Coordinates(q=st.q),
-            Connection(a=st.connection())).max()
+            Connection(a=connection_from_coordinates(st.target, st.grid, st.q))).max()
 
     initial = compat(state)
     dt, n_steps = 5e-5, 2000

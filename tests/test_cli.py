@@ -1,22 +1,29 @@
+import csv
+import inspect
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import smframe
 import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.cli import main
+from smframe.config import EXPERIMENTS
 from smframe.diagnostics import read_diagnostics
 from smframe.errors import CFLViolation
 from smframe.field import Grid
+from smframe.runner import FIELD_PRESETS, MAP_PRESETS
 from smframe.snapshot import read_snapshot, write_snapshot
 
 NLS1D_CFG = """
@@ -535,16 +542,70 @@ def test_output_that_is_a_file_is_config_error(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target, preset", [("hyperbolic", "gaussian-bump-chi"),
                                             ("sphere", "sphere-bump")])
 def test_preset_overflow_is_config_error(tmp_path, capsys, target, preset):
-    # width**2 overflows a float; the run must stop before any output is opened
+    # width**2 overflows a float; the run must stop before any output is
+    # opened, and before numpy warns of an overflow in the preset's arrays
     text = _pair_cfg("gnls", target, "16, 16", _L4, 1e-3, 4, preset).replace(
         f"preset = {preset}\n", f"preset = {preset}\nwidth = 1e200\n")
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
     assert "initial.preset" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: (experiment, target, grid n, length, preset, parameter) whose initial data
+#: is not finite or has no frame; each used to fail only after set-up
+BAD_PRESET_VALUES = {
+    "soliton-nan": ("nls1d", "sphere", 64, 10 * _L1, "soliton", "b = nan"),
+    "bump-chi-overflow": ("direct-sm", "hyperbolic", "16, 16", _L4, "gaussian-bump-chi",
+                          "amplitude = 800"),
+    "sphere-bump-zero-width": ("gnls", "sphere", "16, 16", _L4, "sphere-bump", "width = 0"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow and 0/0
+@pytest.mark.parametrize("case", list(BAD_PRESET_VALUES))
+def test_non_finite_preset_state_is_config_error(tmp_path, capsys, case):
+    experiment, target, n, length, preset, param = BAD_PRESET_VALUES[case]
+    text = _pair_cfg(experiment, target, n, length, 1e-3, 4, preset).replace(
+        f"preset = {preset}\n", f"preset = {preset}\n{param}\n")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert "initial.preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["nan", "off-target"])
+def test_bad_snapshot_map_is_config_error(tmp_path, capsys, defect):
+    g = Grid((64,), (6.283185307179586,))
+    u = presets.great_circle(g)
+    if defect == "nan":
+        u[5, 2] = np.nan
+    else:
+        u = 1.01 * u
+    snap = tmp_path / "map.smfs"
+    write_snapshot(snap, g, geo.SPHERE, 0.0, {"u": u})
+    text = DIRECT_CFG.replace("preset = perturbed-great-circle", f"snapshot = {snap}")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.snapshot" in err and ("not finite" if defect == "nan" else "off the") in err
+    assert not out.exists()
+
+
+def test_infinite_logged_value_exits_3(tmp_path, capsys):
+    # found by the property below: parabolic-gnls at dt = 2 keeps q finite
+    # (|q| ~ 1e157) while its mass overflows to inf, which used to exit 0
+    text = _pair_cfg("parabolic-gnls", "sphere", 16, _L1, 2.0, 3, "perturbed-great-circle",
+                     "epsilon = 0.1").replace("snapshot_every = 2", "snapshot_every = 1")
+    text = text.replace("preset = perturbed-great-circle\n",
+                        "preset = perturbed-great-circle\nkmax = 2\nseed = 1\namplitude = 3\n")
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 3
+    assert "a logged value is infinite at t = " in capsys.readouterr().err
+    assert not (tmp_path / "pair.final.smfs").exists()
 
 
 #: target -> (preset, max_gap at 64^2 measured with the config below)
@@ -568,3 +629,82 @@ def test_2d_roundtrip_gap_converges_spectrally(tmp_path, target):
         gaps.append(json.loads((tmp_path / f"rt{n}.roundtrip.json").read_text())["max_gap"])
     assert gaps[1] < 10.0 * measured
     assert gaps[1] <= gaps[0] / 10.0
+
+
+#: preset -> its own [initial] keys, read off its signature
+PRESET_KEYS = {name: [p for p in inspect.signature(preset).parameters if p != "grid"]
+               for name, preset in {**FIELD_PRESETS, **MAP_PRESETS}.items()}
+#: experiment -> the CSV columns its rows fill; the others are logged as NaN
+FILLED = {
+    "nls1d": {"time", "mass", "energy"},
+    "gnls": {"time", "mass", "residual_compat_1", "residual_compat_2", "residual_compat_3"},
+    "direct-sm": {"time", "energy", "constraint_max", *(f"{name}_{i}" for name in
+                                                        ("moment", "killing") for i in (1, 2, 3))},
+    "reconstruct": {"time", "residual_sm", "constraint_max", "periodicity_defect"},
+}
+FILLED.update({"parabolic-gnls": FILLED["gnls"], "parabolic-sm": FILLED["direct-sm"],
+               "roundtrip": FILLED["direct-sm"]})
+#: parameter values: zero, negative, not finite, huge, small, and typical
+PARAM_VALUES = hst.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-6]) \
+    | hst.floats(0.1, 4.0) | hst.integers(1, 4).map(float)
+#: the presets defined on one dimension only, and map presets not on the sphere
+ONE_D = {"soliton", "great-circle", "perturbed-great-circle"}
+MAP_TARGET = {"gaussian-bump-chi": "hyperbolic"}
+
+
+def _mostly(draw, fitting, others):
+    """One of `fitting`, or about one draw in five one of `others`."""
+    return draw(hst.sampled_from(fitting if draw(hst.integers(0, 4)) else others))
+
+
+@hst.composite
+def cli_configs(draw):
+    """A small config from the CLI grammar: every experiment, target and
+    preset plus an unknown one, each preset's own keys, 0-4 steps.  Draws
+    lean towards what fits together, so that most runs get past set-up."""
+    experiment = _mostly(draw, EXPERIMENTS, ["magic"])
+    preset = _mostly(draw, sorted(FIELD_PRESETS if experiment == "nls1d" else MAP_PRESETS),
+                     sorted(PRESET_KEYS) + ["magic"])
+    target = _mostly(draw, [MAP_TARGET.get(preset, "sphere")] if preset in MAP_PRESETS
+                     else ["sphere", "hyperbolic"], ["sphere", "hyperbolic", "magic"])
+    dim = _mostly(draw, [1] if preset in ONE_D else [2] if preset == "sphere-bump" else [1, 2],
+                  [1, 2])
+    keys = draw(hst.lists(hst.sampled_from(PRESET_KEYS.get(preset, ["b"])), unique=True))
+    params = "".join(f"{key} = {draw(PARAM_VALUES)!r}\n" for key in keys)
+    dt, n_steps = draw(hst.floats(1e-4, 5.0)), draw(hst.integers(0, 4))
+    n = ", ".join(str(draw(hst.sampled_from([16, 32]))) for _ in range(dim))
+    epsilon = f"epsilon = {draw(hst.sampled_from([0.1, 1.0]))}\n" \
+        if experiment.startswith("parabolic") else ""
+    base = "m = 1, 0, 0\nv0 = 0, 1, 0" if target == "hyperbolic" else "m = 0, 0, 1\nv0 = 1, 0, 0"
+    return experiment, (
+        f"[run]\nexperiment = {experiment}\ntarget = {target}\ndt = {dt!r}\n"
+        f"t_end = {n_steps * dt!r}\nrun_id = fuzz\n{epsilon}\n"
+        f"[grid]\nn = {n}\nlength = {draw(hst.sampled_from([_L1, _L4, 10 * _L1]))!r}\n\n"
+        f"[initial]\npreset = {preset}\n{params}\n[base]\n{base}\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::smframe.errors.CFLViolation",
+                            "ignore::smframe.errors.MeanHolonomy")
+@settings(max_examples=200, deadline=None)
+@given(drawn=cli_configs())
+def test_cli_keeps_its_exit_code_contract(drawn):
+    # exit 0, 2 or 3 and never an exception; a run that exits 0 logs only
+    # finite values, NaN only in the columns its experiment does not fill,
+    # and leaves a finite final snapshot
+    experiment, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["run", _write(Path(tmp), text), "--output", tmp])
+        assert code in (0, 2, 3)
+        if code:
+            return
+        with open(Path(tmp) / "fuzz.diag.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for i, row in enumerate(rows):
+            for col, value in row.items():
+                value = float(value)
+                # reconstruct has no centered residual at its last state
+                unfilled = col not in FILLED[experiment] or (
+                    col == "residual_sm" and i == len(rows) - 1)
+                assert math.isfinite(value) or (math.isnan(value) and unfilled), (col, text)
+        snap = read_snapshot(Path(tmp) / "fuzz.final.smfs")
+        assert all(np.all(np.isfinite(v)) for v in snap.fields.values())

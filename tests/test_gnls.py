@@ -16,7 +16,9 @@ from smframe.gnls import (GnlsState, connection_from_coordinates,
                           gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
 from smframe.gauge import (Connection, Coordinates, best_reference_frame,
-                           compatibility_residual, covariant_derivative)
+                           compatibility_residual)
+
+from reference import covariant_derivative
 
 
 def test_check_cfl():
@@ -73,7 +75,7 @@ def test_connection_solves_curl_equation_2d():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
     st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
-    a = st.connection()
+    a = connection_from_coordinates(geo.SPHERE, g, st.q)
     f12 = geo.curvature_f(geo.SPHERE, st.q[0], st.q[1])
     curl = spectral_derivative(g, a[1], 0) - spectral_derivative(g, a[0], 1)
     assert np.max(np.abs(curl - f12)) < 1e-10
@@ -162,6 +164,14 @@ def test_fields_are_derived_once_per_state():
     assert not np.array_equal(conn.a0, first[1].a0)
 
 
+def test_rhs_is_the_state_memo_and_read_only():
+    st = _bump_state()
+    rhs = gnls_rhs(st)
+    assert gnls_rhs(st) is rhs
+    with pytest.raises(ValueError):
+        rhs[0, 0, 0] = 0.0
+
+
 def test_gnls_step_with_given_k1_is_bit_identical():
     st = _bump_state()
     given = gnls_step(st, 5e-5, k1=gnls_rhs(st))
@@ -189,8 +199,8 @@ def test_parabolic_step_keeps_2d_compatibility():
     st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
     for _ in range(20):
         st = parabolic_gnls_step(st, 2e-5, 0.1)
-    rep = compatibility_residual(geo.SPHERE, g, Coordinates(q=st.q),
-                                 Connection(a=st.connection()))
+    a = connection_from_coordinates(geo.SPHERE, g, st.q)
+    rep = compatibility_residual(geo.SPHERE, g, Coordinates(q=st.q), Connection(a=a))
     assert rep.dq_symmetry < 1e-6
 
 
