@@ -27,9 +27,8 @@ from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
                           initial_data_sweep, reconstruct_trajectory,
                           sm_residual, time_evolve_point)
-from .diagnostics import (DiagnosticsLog, DiagnosticsRow, EquivalenceReport,
-                          convergence_order, energy_map, equivalence_report,
-                          read_diagnostics)
+from .diagnostics import (DiagnosticsLog, DiagnosticsRow, convergence_order,
+                          energy_map, geodesic_gap, read_diagnostics)
 from .snapshot import Snapshot, read_snapshot, write_snapshot
 from .config import RunConfig, load_config
 

@@ -1,4 +1,4 @@
-"""Conserved and dissipated functionals, residual reports, CSV logging.
+"""Conserved and dissipated functionals, geodesic gaps, CSV logging.
 
 All functionals are evaluated in ambient coordinates; the Killing
 potentials of both targets are globally smooth ambient components, so the
@@ -114,31 +114,15 @@ def read_diagnostics(path) -> list[DiagnosticsRow]:
     return rows
 
 
-@dataclass
-class EquivalenceReport:
-    """Gap between a direct map-side run and a reconstructed run."""
+def geodesic_gap(direct, reconstructed) -> float:
+    """Max over the grid of the geodesic distance between two states of the
+    same map at matching times (to 1e-9).
 
-    times: list[float]
-    geodesic_gap: list[float]
-    max_gap: float
-
-
-def equivalence_report(direct_run, reconstructed_run) -> EquivalenceReport:
-    """Compare two trajectories of the same map at matching times (to 1e-9).
-
-    Accepts any state objects carrying (grid, target, time, u).
+    Accepts any state objects carrying (target, time, u).
     """
-    if len(direct_run) != len(reconstructed_run):
-        raise CadenceMismatch(
-            f"runs log {len(direct_run)} vs {len(reconstructed_run)} states")
-    times = []
-    gaps = []
-    for sa, sb in zip(direct_run, reconstructed_run):
-        if abs(sa.time - sb.time) > 1e-9:
-            raise CadenceMismatch(f"times {sa.time} and {sb.time} differ")
-        times.append(sa.time)
-        gaps.append(float(np.max(geo.geodesic_distance(sa.target, sa.u, sb.u))))
-    return EquivalenceReport(times=times, geodesic_gap=gaps, max_gap=float(np.max(gaps)))
+    if abs(direct.time - reconstructed.time) > 1e-9:
+        raise CadenceMismatch(f"times {direct.time} and {reconstructed.time} differ")
+    return float(np.max(geo.geodesic_distance(direct.target, direct.u, reconstructed.u)))
 
 
 def convergence_order(err_coarse: float, err_fine: float,

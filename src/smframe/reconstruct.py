@@ -26,6 +26,7 @@ is measured and reported as `periodicity_defect`, never hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -255,11 +256,9 @@ class GnlsTrajectory:
 
 def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
                            n_steps: int, snapshot_every: int = 1
-                           ) -> list[MapFrameState]:
-    """Sweep the initial slice, then transport every grid point in time.
-
-    Returns states at t = 0 and every `snapshot_every`-th step.
-    """
+                           ) -> Iterator[MapFrameState]:
+    """Sweep the initial slice now; yield it, then every `snapshot_every`-th
+    state of the pointwise time transport, each step taken as it is drawn."""
     start = trajectory.state
     # the first advance() reuses this derivation through the state's memo
     coords, conn = start.fields()
@@ -269,7 +268,7 @@ def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
         u, e = time_evolve_point(st.target, st.u, st.e, trajectory.advance(), trajectory.dt)
         return replace(st, time=st.time + trajectory.dt, u=u, e=e)
 
-    return list(march(state, advance, n_steps, snapshot_every))
+    return march(state, advance, n_steps, snapshot_every)
 
 
 def sm_residual(target: geo.Target, grid: Grid,

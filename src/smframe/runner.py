@@ -10,9 +10,9 @@ returns a `Plan`: its states at t = 0 and at the snapshot cadence (from
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import time as _time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -79,7 +79,10 @@ def _initial(cfg: RunConfig, name: str) -> np.ndarray:
         if name not in snap.fields:
             raise ConfigError(source, f"snapshot has no field {name!r} "
                               f"(it holds {', '.join(snap.fields) or 'none'})")
-        value = snap.fields[name]
+        value, shape = snap.fields[name], cfg.grid.shape + ((3,) if name == "u" else ())
+        if value.shape != shape:  # a complex u has the grid's shape
+            raise ConfigError(source, f"snapshot field {name!r} has shape {value.shape}, "
+                              f"expected {shape}")
     elif cfg.preset not in table:
         raise ConfigError(source, f"{cfg.preset!r} is not a {kind} preset "
                           f"(expected one of {', '.join(table)})")
@@ -188,44 +191,58 @@ def _trajectory(cfg: RunConfig) -> GnlsTrajectory:
 
 
 def _reconstruct(cfg: RunConfig) -> Plan:
-    # the whole reconstruction up front: a row's residual needs the next state
     base = BasePointData(m=cfg.base_m, v0=cfg.base_v0)
     states = reconstruct_trajectory(_trajectory(cfg), base, cfg.n_steps,
                                     cfg.snapshot_every)
-    index = {id(st): i for i, st in enumerate(states)}
+    window = [None, next(states)]  # the previous, yielded and next logged states
     gap_dt = cfg.dt * cfg.snapshot_every
 
+    def late() -> Iterator[MapFrameState]:
+        # a row's residual needs the next state, so each state is yielded one step late
+        for nxt in itertools.chain(states, [None]):
+            window.append(nxt)
+            yield window[1]
+            del window[0]
+
     def row(st: MapFrameState) -> diag.DiagnosticsRow:
-        i, res = index[id(st)], np.nan
-        if i < len(states) - 1:  # rows start at i = 1, after t = 0
-            res = sm_residual(cfg.target, cfg.grid,
-                              (states[i - 1], st, states[i + 1]), gap_dt)
+        # rows start after t = 0, so window[0] is a state; the last row has no next one
+        res = (np.nan if window[2] is None
+               else sm_residual(cfg.target, cfg.grid, tuple(window), gap_dt))
         return diag.DiagnosticsRow(
             time=st.time, residual_sm=res,
             constraint_max=float(np.max(np.abs(constraint_defect(cfg.target, st.u)))),
-            periodicity_defect=states[0].periodicity_defect)
+            periodicity_defect=st.periodicity_defect)
 
-    return Plan(iter(states), row, lambda st: {"u": st.u, "e": st.e}, None, None)
+    return Plan(late(), row, lambda st: {"u": st.u, "e": st.e}, None, None)
 
 
 def _roundtrip(cfg: RunConfig) -> Plan:
-    """Direct map flow vs gauge-side evolution + reconstruction of one seed."""
+    """Direct map flow vs gauge-side evolution + reconstruction of one seed, in lockstep."""
     direct = _map_flow(cfg)
-    kept = list(direct.states)
+    first = next(direct.states)
+    gstate, e_fixed = _seed_gnls(cfg, first.u)
+    center = cfg.grid.center_index
+    base = BasePointData(m=first.u[center], v0=e_fixed[center])
+    recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
+                                   cfg.n_steps, cfg.snapshot_every)
+    sweep = next(recon)  # t = 0; its wrap mismatch is the run's periodicity_defect
+    recon = itertools.chain([sweep], recon)
+    times, gaps = [], []
+
+    def paired() -> Iterator[MapState]:
+        for st in itertools.chain([first], direct.states):
+            yield st  # logged and energy-checked before the reconstruction steps
+            gap = diag.geodesic_gap(st, next(recon))
+            if not np.isfinite(gap):
+                raise SmframeError(f"geodesic gap is not finite at t = {st.time:g}")
+            times.append(st.time)
+            gaps.append(gap)
 
     def summary() -> dict:
-        u0 = kept[0].u
-        gstate, e_fixed = _seed_gnls(cfg, u0)
-        center = cfg.grid.center_index
-        base = BasePointData(m=u0[center], v0=e_fixed[center])
-        recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
-                                       cfg.n_steps, cfg.snapshot_every)
-        report = diag.equivalence_report(kept, recon)
-        if not np.isfinite(report.max_gap):
-            raise SmframeError(f"max_gap is not finite at t = {recon[-1].time:g}")
-        return {**asdict(report), "periodicity_defect": recon[0].periodicity_defect}
+        return {"times": times, "geodesic_gap": gaps, "max_gap": float(np.max(gaps)),
+                "periodicity_defect": sweep.periodicity_defect}
 
-    return direct._replace(states=iter(kept), summary=summary)
+    return direct._replace(states=paired(), summary=summary)
 
 
 #: experiment -> the set-up of its Plan, which checks everything it reads
@@ -262,11 +279,12 @@ def execute(cfg: RunConfig, config_text: str,
     for name, value in fields.items():  # a field that is not finite fails the run
         if not np.isfinite(np.max(np.abs(value))):  # nan and inf propagate
             raise SmframeError(f"field {name!r} is not finite at t = {state.time:g}")
+    summary = plan.summary() if plan.summary else None  # before any output file
     write_snapshot(outdir / f"{cfg.run_id}.final.smfs", cfg.grid, cfg.target,
                    state.time, fields)
-    if plan.summary is not None:
+    if summary is not None:
         with open(outdir / f"{cfg.run_id}.roundtrip.json", "w") as fh:
-            json.dump(plan.summary(), fh, indent=2)
+            json.dump(summary, fh, indent=2)
     manifest = {
         "run_id": cfg.run_id,
         "experiment": cfg.experiment,

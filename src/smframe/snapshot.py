@@ -8,9 +8,10 @@ Layout (all little-endian):
 Element kinds: 0 real scalar, 1 complex scalar (re,im interleaved per
 point), 2 three-vector (components contiguous per point).
 
-Malformed snapshots raise `FormatError`.  Version 1 stores no field
-count, so a file cut exactly at a field-block boundary reads as a valid
-snapshot with fewer fields; every other cut is an error.
+Malformed snapshots raise `FormatError`, and so does a repeated field
+name, at its block.  Version 1 stores no field count, so a file cut
+exactly at a field-block boundary reads as a valid snapshot with fewer
+fields; every other cut is an error.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ def read_snapshot(path) -> Snapshot:
 
         fields: dict[str, np.ndarray] = {}
         while True:
+            block = fh.tell()
             head = fh.read(2)
             if not head:
                 break
@@ -121,6 +123,8 @@ def read_snapshot(path) -> Snapshot:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError("field name is not UTF-8", fh.tell() - name_len) from exc
+            if name in fields:
+                raise FormatError(f"field '{name}' is repeated", block)
             (kind,) = struct.unpack("<B", _read_exact(fh, 1, "element kind"))
             per_point = {0: 1, 1: 2, 2: 3}.get(kind)
             if per_point is None:

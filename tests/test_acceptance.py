@@ -65,7 +65,7 @@ def _soliton_reconstruction_residual(n: int, dt: float, t_end: float) -> float:
     g = Grid((n,), (40 * np.pi,))
     provider = _soliton_trajectory(g, dt)
     base = BasePointData(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    states = reconstruct_trajectory(provider, base, int(round(t_end / dt)))
+    states = list(reconstruct_trajectory(provider, base, int(round(t_end / dt))))
     return sm_residual(geo.SPHERE, g, tuple(states[-3:]), dt)
 
 
@@ -267,7 +267,7 @@ def test_criterion_09_equivariance():
     v0 = np.array([1.0, 0.0, 0.0])
 
     def run(base):
-        return reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 20)
+        return list(reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 20))
 
     run_a = run(BasePointData(m, v0))
     run_b = run(BasePointData(R @ m, R @ v0))

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,21 @@ def test_roundtrip_subcommand(tmp_path):
     assert np.max(np.abs(np.sum(snap.fields["u"] ** 2, axis=-1) - 1.0)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_roundtrip_gap_that_is_not_finite_exits_3_without_outputs(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a reconstruction step that returns nan: the run stops at the first
+    # logged pair, before the final snapshot and the report are written
+    def nan_step(target, u, e, stages, dt):
+        return np.full_like(u, np.nan), np.full_like(e, np.nan)
+
+    monkeypatch.setattr(smframe.reconstruct, "time_evolve_point", nan_step)
+    assert main(["roundtrip", _write(tmp_path, ROUNDTRIP_CFG), "--output", str(tmp_path)]) == 3
+    assert "geodesic gap is not finite at t = 0.0005" in capsys.readouterr().err
+    assert not (tmp_path / "loop.final.smfs").exists()
+    assert not (tmp_path / "loop.roundtrip.json").exists()
+
+
 def test_field_preset_reconstruct_runs(tmp_path):
     cfg = _write(tmp_path, SOLITON_RECONSTRUCT_CFG)
     assert main(["run", cfg, "--output", str(tmp_path)]) == 0
@@ -315,6 +331,25 @@ def test_snapshot_without_needed_field_is_config_error(tmp_path, capsys):
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "initial.snapshot" in err and "'q'" in err and "u" in err
+
+
+@pytest.mark.parametrize("name, value", [("u", "real scalar"), ("q", "3-vector"),
+                                         ("u", "complex scalar")])
+def test_snapshot_field_of_the_wrong_shape_is_config_error(tmp_path, capsys, name, value):
+    text, length = (NLS1D_CFG, 10 * _L1) if name == "q" else (DIRECT_CFG, _L1)
+    g = Grid((64,), (length,))
+    field = {"real scalar": np.ones(g.shape), "3-vector": np.ones(g.shape + (3,)),
+             "complex scalar": np.ones(g.shape, complex)}[value]
+    snap = tmp_path / "bad.smfs"
+    write_snapshot(snap, g, geo.SPHERE, 0.0, {name: field})
+    text = text.replace("preset = soliton", f"snapshot = {snap}").replace(
+        "preset = perturbed-great-circle", f"snapshot = {snap}")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    expected = (64, 3) if name == "u" else (64,)
+    assert "initial.snapshot" in err and f"field {name!r}" in err and f"expected {expected}" in err
+    assert not out.exists()
 
 
 def test_diagnose_has_no_verbose_option(tmp_path, capsys):
@@ -606,6 +641,26 @@ def test_infinite_logged_value_exits_3(tmp_path, capsys):
     assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 3
     assert "a logged value is infinite at t = " in capsys.readouterr().err
     assert not (tmp_path / "pair.final.smfs").exists()
+
+
+@pytest.mark.parametrize("experiment", ["roundtrip", "reconstruct"])
+def test_peak_memory_does_not_grow_with_logged_rows(tmp_path, experiment):
+    # the states stream through the run, so 200 logged rows peak as 10 do; a
+    # run that keeps every logged state peaks 5.7x to 7.2x higher at 200 rows
+    def peak(rows):
+        text = _pair_cfg(experiment, "hyperbolic", 512, _L4, 2e-5, rows, "gaussian-bump-chi")
+        tracemalloc.start()
+        try:
+            assert main(["run", _write(tmp_path, text.replace("snapshot_every = 2",
+                                                              "snapshot_every = 1")),
+                         "--output", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations (imports, caches) land in this run
+    small = peak(10)
+    assert peak(200) < 1.2 * small
 
 
 #: target -> (preset, max_gap at 64^2 measured with the config below)

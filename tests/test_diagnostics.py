@@ -7,7 +7,7 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
                                  convergence_order,
-                                 energy_map, equivalence_report,
+                                 energy_map, geodesic_gap,
                                  lorentz_weighted_energy, read_diagnostics)
 from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
@@ -122,23 +122,23 @@ def _trajectory(g, shift=0.0, n=3):
     return out
 
 
-def test_equivalence_report_identical_runs():
+def test_geodesic_gap_of_identical_states():
     g = Grid((32,), (2 * np.pi,))
-    run = _trajectory(g)
-    rep = equivalence_report(run, run)
-    assert rep.max_gap == 0.0
-    assert rep.times == pytest.approx([0.0, 0.1, 0.2])
+    run, shifted = _trajectory(g), _trajectory(g, shift=0.1)
+    assert [geodesic_gap(s, s) for s in run] == [0.0, 0.0, 0.0]
+    assert all(geodesic_gap(a, b) > 0.0 for a, b in zip(run, shifted))
 
 
-def test_equivalence_report_cadence_checks():
+def test_geodesic_gap_cadence_check():
     g = Grid((32,), (2 * np.pi,))
-    run = _trajectory(g)
+    a, b = _trajectory(g)[:2]
     with pytest.raises(CadenceMismatch):
-        equivalence_report(run, run[:-1])
-    other = _trajectory(g)
-    other[1] = MapState(grid=g, target=geo.SPHERE, time=0.15, u=other[1].u)
+        geodesic_gap(a, b)
+    late = MapState(grid=g, target=geo.SPHERE, time=a.time + 2e-9, u=a.u)
     with pytest.raises(CadenceMismatch):
-        equivalence_report(run, other)
+        geodesic_gap(a, late)
+    assert geodesic_gap(a, MapState(grid=g, target=geo.SPHERE, time=a.time + 5e-10,
+                                    u=a.u)) == 0.0
 
 
 def test_convergence_order():

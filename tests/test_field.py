@@ -329,6 +329,22 @@ def test_snapshot_non_utf8_field_name_is_format_error(tmp_path):
     assert err.value.offset == name_at
 
 
+def test_snapshot_repeated_field_name_is_format_error(tmp_path):
+    # a second block of one name must not silently replace the first
+    g = Grid((16,), (1.0,))
+    path = tmp_path / "twice.smfs"
+    write_snapshot(path, g, geo.SPHERE, 0.0, {"u": np.zeros(g.shape + (3,)),
+                                              "v": np.ones(g.shape)})
+    data = bytearray(path.read_bytes())
+    second = _header_bytes(1) + 2 + 1 + 1 + 8 * 3 * 16
+    assert data[second + 2] == ord("v")
+    data[second + 2] = ord("u")
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="'u' is repeated") as err:
+        read_snapshot(path)
+    assert err.value.offset == second
+
+
 @pytest.mark.parametrize("length", [np.nan, np.inf])
 def test_snapshot_non_finite_box_length_is_format_error(tmp_path, length):
     g = Grid((16,), (1.0,))

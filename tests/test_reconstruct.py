@@ -214,7 +214,7 @@ def _soliton_trajectory(g, dt):
 
 
 def _soliton_run(g, base, n_steps, dt):
-    return reconstruct_trajectory(_soliton_trajectory(g, dt), base, n_steps)
+    return list(reconstruct_trajectory(_soliton_trajectory(g, dt), base, n_steps))
 
 
 def _frame_gap(run_a, run_b):
@@ -258,8 +258,8 @@ def test_reconstructed_trajectory_satisfies_map_equation():
 def test_snapshot_every_thins_output():
     g = Grid((64,), (10 * np.pi,))
     base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    states = reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 6,
-                                    snapshot_every=3)
+    states = list(reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 6,
+                                         snapshot_every=3))
     assert len(states) == 3
     assert [s.time for s in states] == pytest.approx([0.0, 3e-3, 6e-3])
 
@@ -318,7 +318,7 @@ def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
     provider = _bump_trajectory(1e-4)
     monkeypatch.setattr(smframe.gnls, "connection_from_coordinates", counted)
     base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    reconstruct_trajectory(provider, base, 3)
+    list(reconstruct_trajectory(provider, base, 3))
     # the initial slice shares the first step's k1 derivation; each step
     # then derives k2, k3, k4, the end stage and the midpoint
     assert len(calls) == 1 + 5 * 3
