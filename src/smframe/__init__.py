@@ -15,8 +15,7 @@ from .errors import (CadenceMismatch, CFLViolation, ConfigError,
                      SmframeError)
 from .geometry import HYPERBOLIC, SPHERE, Target, target_from_name
 from .field import Grid
-from .gauge import (CompatReport, Connection, Coordinates,
-                    best_reference_frame, compatibility_residual, coulomb_fix,
+from .gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
                     exponential_gauge_connection, exponential_gauge_curl_residual,
                     extract_coordinates, gauge_transform, remove_mean_connection,
                     rotate_frame, validate_frame)

@@ -7,7 +7,7 @@ d coordinates q_l) a trailing component axis of length d.  Derivatives
 and the Poisson solve are Fourier collocation operations, so they are
 exact on band-limited data.
 
-Coordinates are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
+Grid points are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
 
 On real data `gradient`, `divergence` and `lawson_heun` use real transforms

@@ -14,35 +14,19 @@ field theta, e -> cos(theta) e + sin(theta) Je, transforms
 
 which is the U(1) transformation law implemented by `gauge_transform` (the
 two sides are tied together: this is the unique pairing under which the
-covariant derivative D_l = d_l + i a_l transforms covariantly).
+covariant derivative D_l = d_l + i a_l transforms covariantly).  Every stage
+passes q and a as plain tuples of arrays, one per spatial axis.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
 from .field import Grid, divergence, gradient, poisson_solve, spectral_derivative
-
-
-@dataclass
-class Coordinates:
-    """Complex frame coordinates q_1..q_d (and q_0 when a solver derives it)."""
-
-    q: tuple[np.ndarray, ...]
-    q0: np.ndarray | None = None
-
-
-@dataclass
-class Connection:
-    """Real U(1) connection components a_1..a_d (and a_0)."""
-
-    a: tuple[np.ndarray, ...]
-    a0: np.ndarray | None = None
 
 
 def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray) -> None:
@@ -81,7 +65,7 @@ def rotate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray,
 
 
 def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
-                        e: np.ndarray) -> tuple[Coordinates, Connection]:
+                        e: np.ndarray) -> tuple[tuple, tuple]:
     """Forward construction: read (q, a) off a map and its frame.
 
     Spatial components only; a_0 and q_0 belong to the evolution solvers.
@@ -91,35 +75,30 @@ def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
     du = gradient(grid, u)  # d_l u on the leading axis
     de = geo.project_tangent(target, u, gradient(grid, e))
     q = geo.inner(target, du, e) + 1j * geo.inner(target, du, je)
-    return Coordinates(q=tuple(q)), Connection(a=tuple(geo.inner(target, de, je)))
+    return tuple(q), tuple(geo.inner(target, de, je))
 
 
-def gauge_transform(grid: Grid, coords: Coordinates, conn: Connection,
-                    theta: np.ndarray) -> tuple[Coordinates, Connection]:
+def gauge_transform(grid: Grid, q: tuple, a: tuple, theta: np.ndarray) -> tuple[tuple, tuple]:
     """Apply the U(1) gauge change of a frame rotation by theta."""
     phase = np.exp(-1j * theta)
-    q = tuple(phase * qk for qk in coords.q)
-    a = tuple(ak + dk for ak, dk in zip(conn.a, gradient(grid, theta)))
-    return Coordinates(q=q), Connection(a=a)
+    return (tuple(phase * qk for qk in q),
+            tuple(ak + dk for ak, dk in zip(a, gradient(grid, theta))))
 
 
-def coulomb_fix(grid: Grid, coords: Coordinates,
-                conn: Connection) -> tuple[Coordinates, Connection, np.ndarray]:
+def coulomb_fix(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple, np.ndarray]:
     """Gauge-fix to the Coulomb gauge div a = 0 via Delta theta = -div a.
 
     In 1D this leaves a_1 constant; `remove_mean_connection` then zeroes
     it, which is the parallel gauge.
     """
-    div = divergence(grid, np.stack(conn.a))
+    div = divergence(grid, np.stack(a))
     # mean-free by construction: on Coulomb data div is round-off whose own
     # mean would fail poisson_solve's solvability check, so remove it
     theta = poisson_solve(grid, np.mean(div) - div)
-    q, a = gauge_transform(grid, coords, conn, theta)
-    return q, a, theta
+    return (*gauge_transform(grid, q, a, theta), theta)
 
 
-def remove_mean_connection(grid: Grid, coords: Coordinates, conn: Connection
-                           ) -> tuple[Coordinates, Connection, np.ndarray]:
+def remove_mean_connection(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple, np.ndarray]:
     """Gauge away the constant (harmonic) part of the spatial connection.
 
     On the torus the Coulomb condition fixes a only up to constants; this
@@ -128,7 +107,7 @@ def remove_mean_connection(grid: Grid, coords: Coordinates, conn: Connection
     periodic; its holonomy is reported as a MeanHolonomy warning when it
     exceeds round-off scale.  Returns the ramp angle as the third value.
     """
-    means = [float(np.mean(ak)) for ak in conn.a]
+    means = [float(np.mean(ak)) for ak in a]
     theta = np.zeros(grid.shape)
     for axis, m in enumerate(means):
         holonomy = m * grid.length[axis]
@@ -141,12 +120,10 @@ def remove_mean_connection(grid: Grid, coords: Coordinates, conn: Connection
         shape[axis] = grid.n[axis]
         theta = theta - m * grid.axis_coord(axis).reshape(shape)
     phase = np.exp(-1j * theta)
-    q = tuple(phase * qk for qk in coords.q)
-    a = tuple(ak - m for ak, m in zip(conn.a, means))
-    return Coordinates(q=q), Connection(a=a), theta
+    return tuple(phase * qk for qk in q), tuple(ak - m for ak, m in zip(a, means)), theta
 
 
-def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> Connection:
+def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> tuple:
     """Radial-transport (exponential) gauge from the curvature two-form.
 
     Reconstructs a_k(x) = int_0^1 x^l F_lk(s x) s ds about the box center,
@@ -174,7 +151,7 @@ def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> Connection:
     for s, w in zip(*_ray_quadrature(max(grid.n) + 32)):
         radial += w * s * (modes(0, s) @ fh @ modes(1, s).T).real
     x1, x2 = grid.coords()
-    return Connection(a=(-x2 * radial, x1 * radial))
+    return (-x2 * radial, x1 * radial)
 
 
 def _ray_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +160,7 @@ def _ray_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s + 1.0), 0.5 * w
 
 
-def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
-                                    f12: np.ndarray) -> float:
+def exponential_gauge_curl_residual(grid: Grid, a: tuple, f12: np.ndarray) -> float:
     """max |curl a - f12| over the central half of the box (per axis).
 
     The radial-transport connection decays only like 1/|x| and is not
@@ -196,32 +172,17 @@ def exponential_gauge_curl_residual(grid: Grid, conn: Connection,
         return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
                 - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
 
-    curl = fd(conn.a[1], 0) - fd(conn.a[0], 1)
+    curl = fd(a[1], 0) - fd(a[0], 1)
     x1, x2 = grid.coords()
     half1, half2 = 0.25 * grid.length[0], 0.25 * grid.length[1]
     interior = (np.abs(x1) < half1) & (np.abs(x2) < half2)
     return float(np.max(np.abs((curl - f12)[interior])))
 
 
-@dataclass
-class CompatReport:
-    """Max-norm residuals of the three compatibility conditions."""
-
-    div_a: float
-    dq_symmetry: float
-    curl_minus_curvature: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.div_a, self.dq_symmetry, self.curl_minus_curvature)
-
-    def max(self) -> float:
-        return max(self.as_tuple())
-
-
-def compatibility_residual(target: geo.Target, grid: Grid, coords: Coordinates,
-                           conn: Connection) -> CompatReport:
-    """Measure how far (q, a) is from being realizable as frame coordinates."""
-    q, a = coords.q, conn.a
+def compatibility_residual(target: geo.Target, grid: Grid, q: tuple,
+                           a: tuple) -> tuple[float, float, float]:
+    """Measure how far (q, a) is from being realizable as frame coordinates:
+    the max-norm residuals (div a, D_k q_l - D_l q_k, curl a - f), in that order."""
     da = gradient(grid, np.stack(a, axis=-1))  # da[l, ..., k] = d_l a_k
     r1 = float(np.max(np.abs(np.trace(da, axis1=0, axis2=-1))))  # div a
     r2 = r3 = 0.0
@@ -233,4 +194,4 @@ def compatibility_residual(target: geo.Target, grid: Grid, coords: Coordinates,
             r2 = max(r2, float(np.max(np.abs(sym))))
             curl = da[l, ..., k] - da[k, ..., l]
             r3 = max(r3, float(np.max(np.abs(curl - geo.curvature_f(target, q[l], q[k])))))
-    return CompatReport(div_a=r1, dq_symmetry=r2, curl_minus_curvature=r3)
+    return r1, r2, r3

@@ -10,11 +10,12 @@ sign, the d-dimensional Coulomb-gauge systems
 
 with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
 = (eps + i) / (1 + eps^2) for its parabolic perturbation.  Both flows derive
-(a, q_0, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
+(q_0, a, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
 gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
 of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
 the 2/3-rule truncation, and a, a_0 are Poisson solves of half spectra.  Each
 `GnlsState` memoizes its pass, which `fields()` and `gnls_rhs` both read.
+`fields()` returns the plain tuple (q_0, a, a_0), a with one array per axis.
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -34,8 +35,7 @@ from . import geometry as geo
 from .errors import InvalidStep, SmframeError
 from .field import Grid, _rfft, check_cfl, integrate, lawson_heun, poisson_solve, rk4, \
     spectral_derivative
-from .gauge import Connection, Coordinates, coulomb_fix, extract_coordinates, \
-    remove_mean_connection, rotate_frame
+from .gauge import coulomb_fix, extract_coordinates, remove_mean_connection, rotate_frame
 
 # ---------------------------------------------------------------------------
 # 1D cubic NLS
@@ -102,8 +102,8 @@ def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
 
 def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
             lap: complex):
-    """(q, q_0 = mu D_k q_k), the Coulomb connection (a, a_0), and dq_l/dt less
-    (mu - lap) Delta q_l, 2/3-rule truncated, components last and read-only, where
+    """(q_0, a, a_0, rhs): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and dq_l/dt
+    less (mu - lap) Delta q_l, 2/3-rule truncated, components last and read-only, where
     dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l."""
     a = connection_from_coordinates(target, grid, q)
     f12 = geo.curvature_f(target, q[0], q[-1])  # f_ll = 0, so f = 0 in 1D
@@ -138,7 +138,7 @@ def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: compl
     del c, rl  # freed before the inverse transforms: interleaved, they raise the peak RSS
     rhs = _stack([np.fft.ifftn(spectrum) for spectrum in spectra])
     rhs.flags.writeable = False
-    return Coordinates(q=q, q0=q0), Connection(a=a, a0=a0), rhs
+    return q0, a, a0, rhs
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,10 @@ class GnlsState:
     time: float
     q: tuple[np.ndarray, ...]
 
-    def fields(self) -> tuple[Coordinates, Connection]:
-        """Coordinates (q, q_0 = i D_k q_k) and the Coulomb connection (a, a_0),
-        derived once per state object together with `gnls_rhs`."""
-        return self._fields[:2]
+    def fields(self) -> tuple:
+        """(q_0 = i D_k q_k, a, a_0): the time coordinate and the Coulomb
+        connection, derived once per state object together with `gnls_rhs`."""
+        return self._fields[:3]
 
     @cached_property
     def _fields(self) -> tuple:
@@ -173,10 +173,10 @@ def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
     In 1D the Coulomb condition leaves a_1 constant, so removing its mean
     gives the parallel gauge a_1 = 0.
     """
-    coords, conn = extract_coordinates(target, grid, u, e)
-    coords, conn, theta = coulomb_fix(grid, coords, conn)
-    coords, conn, ramp = remove_mean_connection(grid, coords, conn)
-    state = GnlsState(grid=grid, target=target, time=0.0, q=coords.q)
+    q, a = extract_coordinates(target, grid, u, e)
+    q, a, theta = coulomb_fix(grid, q, a)
+    q, a, ramp = remove_mean_connection(grid, q, a)
+    state = GnlsState(grid=grid, target=target, time=0.0, q=q)
     return state, rotate_frame(target, u, e, theta + ramp)
 
 
@@ -196,7 +196,7 @@ def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
 def gnls_rhs(state: GnlsState) -> np.ndarray:
     """Right-hand side dq_l/dt of the Coulomb-gauge system, components last,
     2/3-rule truncated; the state's memo, so read-only."""
-    return state._fields[2]
+    return state._fields[3]
 
 
 def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> GnlsState:
@@ -234,7 +234,7 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
 
     def nonlinear(y):
         # the right-hand side less mu Lap q_l, dealiased
-        return _derive(tg, grid, _unstack(y), mu, 0.0)[2]
+        return _derive(tg, grid, _unstack(y), mu, 0.0)[3]
 
     q = state.q
     qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))

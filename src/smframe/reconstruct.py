@@ -1,7 +1,8 @@
 """Rebuilding the map and frame from gauge-side trajectories.
 
-The inverse direction of the correspondence: given (q, a) on a time slab
-plus one base point (m, v0), integrate
+The inverse direction of the correspondence: given (q, a) on a time slab,
+each a tuple of arrays with one per axis, plus one base point (m, v0),
+integrate
 
     d u = Re(q) e + Im(q) Je
     d e = a Je - kappa Re(q) u            (ambient form of D e = a Je)
@@ -34,7 +35,7 @@ from . import geometry as geo
 from .direct import flux_divergence
 from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
-from .gauge import Connection, Coordinates, validate_frame
+from .gauge import validate_frame
 from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
 
 
@@ -179,8 +180,8 @@ def _sweep(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
     return frames, float(np.max(gap.sum(axis=-1)))
 
 
-def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
-                       conn: Connection, base: BasePointData) -> MapFrameState:
+def initial_data_sweep(target: geo.Target, grid: Grid, q: tuple, a: tuple,
+                       base: BasePointData) -> MapFrameState:
     """Build (u, e) at one time slice from (q, a) by axis-ordered sweeps.
 
     u(center) = m and e(center) = v0 exactly; axis 1 is swept through the
@@ -192,7 +193,7 @@ def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
     v0 = geo.orthonormalize_frame(target, m, base.v0)
     frame0 = np.stack([m, v0, geo.j_apply(target, m, v0)], axis=-1)  # columns u, e, Je
 
-    line, q1, a1 = grid, coords.q[0], conn.a[0]
+    line, q1, a1 = grid, q[0], a[0]
     if grid.dim == 2:
         # axis 1 is swept along the center row only, so sample just that row
         line, q1, a1 = Grid(grid.n[:1], grid.length[:1]), q1[:, c[1]], a1[:, c[1]]
@@ -202,8 +203,8 @@ def initial_data_sweep(target: geo.Target, grid: Grid, coords: Coordinates,
 
     if grid.dim == 2:
         # axis 2 from every point of the row, batched over axis 1
-        qs = _line_samples(grid, coords.q[1], 1, SWEEP_SUBSTEPS)
-        as_ = _line_samples(grid, conn.a[1], 1, SWEEP_SUBSTEPS)
+        qs = _line_samples(grid, q[1], 1, SWEEP_SUBSTEPS)
+        as_ = _line_samples(grid, a[1], 1, SWEEP_SUBSTEPS)
         cols, defect2 = _sweep(target, grid.spacing[1], qs, as_, frames, c[1])
         # the swept (axis 2) index comes first; restore (x1, x2) order
         frames, defect = np.swapaxes(cols, 0, 1), max(defect, defect2)
@@ -250,8 +251,7 @@ class GnlsTrajectory:
         q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
         s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
         self.state = s1
-        fields = [s.fields() for s in (s0, s_mid, s1)]
-        return [(coords.q0, conn.a0) for coords, conn in fields]
+        return [(q0, a0) for q0, _, a0 in (s.fields() for s in (s0, s_mid, s1))]
 
 
 def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
@@ -261,8 +261,7 @@ def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
     state of the pointwise time transport, each step taken as it is drawn."""
     start = trajectory.state
     # the first advance() reuses this derivation through the state's memo
-    coords, conn = start.fields()
-    state = initial_data_sweep(start.target, start.grid, coords, conn, base)
+    state = initial_data_sweep(start.target, start.grid, start.q, start.fields()[1], base)
 
     def advance(st: MapFrameState) -> MapFrameState:
         u, e = time_evolve_point(st.target, st.u, st.e, trajectory.advance(), trajectory.dt)

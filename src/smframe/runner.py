@@ -25,11 +25,11 @@ from .config import RunConfig
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .errors import ConfigError, FrameInvalid, SmframeError
 from .field import march
-from .gauge import Connection, Coordinates, best_reference_frame, compatibility_residual
+from .gauge import best_reference_frame, compatibility_residual
 from .geometry import SPHERE, check_on_manifold, constraint_defect
 from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
                           reconstruct_trajectory, sm_residual)
-from .snapshot import read_snapshot, write_snapshot
+from .snapshot import Snapshot, read_snapshot, write_snapshot
 
 FIELD_PRESETS = {
     "soliton": presets.soliton,
@@ -67,6 +67,14 @@ def _preset_kwargs(cfg: RunConfig, preset) -> dict:
     return kwargs
 
 
+def _snapshot_field(snap: Snapshot, name: str) -> np.ndarray:
+    """Snapshot field `name`, one value per grid point: a 3-vector for the map u."""
+    value, shape = snap.fields[name], snap.grid.shape + ((3,) if name == "u" else ())
+    if value.shape != shape:  # a complex u has the grid's shape
+        raise ValueError(f"snapshot field {name!r} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def _initial(cfg: RunConfig, name: str) -> np.ndarray:
     """Finite initial q (complex coordinate) or u (ambient map on the target)."""
     kind, table = ("field", FIELD_PRESETS) if name == "q" else ("map", MAP_PRESETS)
@@ -79,10 +87,10 @@ def _initial(cfg: RunConfig, name: str) -> np.ndarray:
         if name not in snap.fields:
             raise ConfigError(source, f"snapshot has no field {name!r} "
                               f"(it holds {', '.join(snap.fields) or 'none'})")
-        value, shape = snap.fields[name], cfg.grid.shape + ((3,) if name == "u" else ())
-        if value.shape != shape:  # a complex u has the grid's shape
-            raise ConfigError(source, f"snapshot field {name!r} has shape {value.shape}, "
-                              f"expected {shape}")
+        try:
+            value = _snapshot_field(snap, name)
+        except ValueError as exc:
+            raise ConfigError(source, str(exc)) from exc
     elif cfg.preset not in table:
         raise ConfigError(source, f"{cfg.preset!r} is not a {kind} preset "
                           f"(expected one of {', '.join(table)})")
@@ -148,9 +156,8 @@ def _gnls(cfg: RunConfig) -> Plan:
     def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
         # reads q and a only: no q_0, a_0 derived or kept for the residual
         a = gnls.connection_from_coordinates(cfg.target, cfg.grid, s.q)
-        compat = compatibility_residual(cfg.target, cfg.grid, Coordinates(q=s.q), Connection(a=a))
-        return diag.DiagnosticsRow(time=s.time, mass=gnls.gnls_mass(s),
-                                   residual_compat=compat.as_tuple())
+        compat = compatibility_residual(cfg.target, cfg.grid, s.q, a)
+        return diag.DiagnosticsRow(time=s.time, mass=gnls.gnls_mass(s), residual_compat=compat)
 
     step = gnls.gnls_step if cfg.experiment == "gnls" else gnls.parabolic_gnls_step
     return Plan(_march(cfg, state, step), row,
@@ -158,7 +165,7 @@ def _gnls(cfg: RunConfig) -> Plan:
 
 
 def _map_row(state: MapState) -> diag.DiagnosticsRow:
-    moment = tuple(map_moment(state))  # also the Killing functionals
+    moment = tuple(float(m) for m in map_moment(state))  # also the Killing functionals
     return diag.DiagnosticsRow(
         time=state.time,
         energy=diag.energy_map(state),
@@ -303,10 +310,10 @@ def diagnose_snapshot(path) -> diag.DiagnosticsRow:
     row = diag.DiagnosticsRow(time=snap.time)
     if "u" in snap.fields:
         row = _map_row(MapState(grid=snap.grid, target=snap.target, time=snap.time,
-                                u=snap.fields["u"]))
+                                u=_snapshot_field(snap, "u")))
     qnames = sorted(name for name in snap.fields if name in ("q", "q1", "q2"))
     if qnames:
         row.mass = gnls.gnls_mass(gnls.GnlsState(
             grid=snap.grid, target=snap.target, time=snap.time,
-            q=tuple(snap.fields[n] for n in qnames)))
+            q=tuple(_snapshot_field(snap, n) for n in qnames)))
     return row

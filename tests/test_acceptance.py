@@ -15,8 +15,7 @@ from smframe.diagnostics import (convergence_order, energy_map,
                                  lorentz_weighted_energy)
 from smframe.direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from smframe.field import Grid, integrate
-from smframe.gauge import (Connection, Coordinates, best_reference_frame,
-                           compatibility_residual, coulomb_fix,
+from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
                            exponential_gauge_connection,
                            exponential_gauge_curl_residual,
                            extract_coordinates, gauge_transform, rotate_frame)
@@ -86,12 +85,11 @@ def _map_roundtrip_error(n: int) -> float:
     g = Grid((n,), (16 * np.pi,))
     u = presets.perturbed_great_circle(g, 0.05, 4, 7)
     e = best_reference_frame(geo.SPHERE, u)
-    coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
-    coords, conn, theta = coulomb_fix(g, coords, conn)
+    q, a = extract_coordinates(geo.SPHERE, g, u, e)
+    q, a, theta = coulomb_fix(g, q, a)
     e = rotate_frame(geo.SPHERE, u, e, theta)
     c = g.center_index
-    st = initial_data_sweep(geo.SPHERE, g, coords, conn,
-                            BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
     return float(np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)))
 
 
@@ -114,9 +112,8 @@ def test_criterion_04_compatibility_persistence():
     state = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
 
     def compat(st):
-        return compatibility_residual(
-            st.target, st.grid, Coordinates(q=st.q),
-            Connection(a=connection_from_coordinates(st.target, st.grid, st.q))).max()
+        return max(compatibility_residual(
+            st.target, st.grid, st.q, connection_from_coordinates(st.target, st.grid, st.q)))
 
     initial = compat(state)
     dt, n_steps = 5e-5, 2000
@@ -213,33 +210,33 @@ def _bump_coordinates(n: int):
     g = Grid((n, n), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
     e = best_reference_frame(geo.SPHERE, u)
-    coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
-    return g, coords, conn
+    q, a = extract_coordinates(geo.SPHERE, g, u, e)
+    return g, q, a
 
 
 def test_criterion_08_gauge_algebra():
-    g, coords, conn = _bump_coordinates(64)
+    g, q, a = _bump_coordinates(64)
     x1, _ = g.coords()
     th1, th2 = 0.2 * np.sin(x1 / 4.0), -0.7 * np.cos(x1 / 4.0)
 
-    one = gauge_transform(g, *gauge_transform(g, coords, conn, th1), th2)
-    both = gauge_transform(g, coords, conn, th1 + th2)
-    group_err = max(float(np.max(np.abs(one[0].q[k] - both[0].q[k])))
+    one = gauge_transform(g, *gauge_transform(g, q, a, th1), th2)
+    both = gauge_transform(g, q, a, th1 + th2)
+    group_err = max(float(np.max(np.abs(one[0][k] - both[0][k])))
                     for k in range(2))
 
-    q1, a1, _ = coulomb_fix(g, coords, conn)
+    q1, a1, _ = coulomb_fix(g, q, a)
     q2, a2, th_again = coulomb_fix(g, q1, a1)
     idem_err = float(np.max(np.abs(th_again)))
-    mod_err = max(float(np.max(np.abs(np.abs(q1.q[k]) - np.abs(coords.q[k]))))
+    mod_err = max(float(np.max(np.abs(np.abs(q1[k]) - np.abs(q[k]))))
                   for k in range(2))
 
-    f12 = geo.curvature_f(geo.SPHERE, coords.q[0], coords.q[1])
-    expconn = exponential_gauge_connection(g, f12)
-    radial = float(np.max(np.abs(x1 * expconn.a[0]
-                                 + g.coords()[1] * expconn.a[1])))
-    curl_c = exponential_gauge_curl_residual(g, expconn, f12)
-    gf, cf, _ = _bump_coordinates(128)
-    ff = geo.curvature_f(geo.SPHERE, cf.q[0], cf.q[1])
+    f12 = geo.curvature_f(geo.SPHERE, q[0], q[1])
+    a_exp = exponential_gauge_connection(g, f12)
+    radial = float(np.max(np.abs(x1 * a_exp[0]
+                                 + g.coords()[1] * a_exp[1])))
+    curl_c = exponential_gauge_curl_residual(g, a_exp, f12)
+    gf, qf, _ = _bump_coordinates(128)
+    ff = geo.curvature_f(geo.SPHERE, qf[0], qf[1])
     curl_f = exponential_gauge_curl_residual(
         gf, exponential_gauge_connection(gf, ff), ff)
 

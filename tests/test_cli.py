@@ -352,6 +352,31 @@ def test_snapshot_field_of_the_wrong_shape_is_config_error(tmp_path, capsys, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, value", [("u", "real scalar"), ("u", "complex scalar"),
+                                         ("q1", "3-vector")])
+def test_diagnose_of_a_field_of_the_wrong_shape_is_config_error(tmp_path, capsys, name,
+                                                                value):
+    g = Grid((64,), (_L1,))
+    field = {"real scalar": np.ones(g.shape), "3-vector": np.ones(g.shape + (3,)),
+             "complex scalar": np.ones(g.shape, complex)}[value]
+    snap = tmp_path / "bad.smfs"
+    write_snapshot(snap, g, geo.SPHERE, 0.0, {name: field})
+    assert main(["diagnose", str(snap)]) == 2
+    captured = capsys.readouterr()
+    expected = (64, 3) if name == "u" else (64,)
+    assert f"field {name!r}" in captured.err and f"expected {expected}" in captured.err
+    assert captured.out == ""
+
+
+def test_diagnose_prints_plain_floats(tmp_path, capsys):
+    assert main(["run", _write(tmp_path, DIRECT_CFG), "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", str(tmp_path / "flow.final.smfs")]) == 0
+    out = capsys.readouterr().out
+    assert "moment = (" in out and "killing = (" in out
+    assert "np.float64" not in out
+
+
 def test_diagnose_has_no_verbose_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["diagnose", str(tmp_path / "demo.final.smfs"), "--verbose"])

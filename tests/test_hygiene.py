@@ -3,13 +3,17 @@
 Every import in the package modules is used (`__init__.py` is skipped: its
 imports are the package's re-exports) and comes from the standard library,
 NumPy or the package itself; the map side (`direct.py`) imports no
-gauge-side module; and every defaulted parameter of a package function is
-set by some call in `src/`, `tests/` or `perfbench/`.
+gauge-side module; every defaulted parameter of a package function is
+set by some call in `src/`, `tests/` or `perfbench/`; and every name in
+`smframe.__all__` is named in one of those trees outside the module that
+defines it (and the package's re-exports).
 """
 
 import ast
 import sys
 from pathlib import Path
+
+import smframe
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "smframe"
@@ -122,3 +126,36 @@ def test_every_default_parameter_is_set_somewhere():
              for position, param in _defaulted_params(fn, method)
              if not any(_sets(c, position, param) for c in calls.get(name, []))]
     assert unset == []
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module reads, reaches as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+            names.update((getattr(node, "module", None) or "").split("."))
+    return names
+
+
+def _defines(path: Path, tree: ast.Module, name: str) -> bool:
+    """The module is `name` itself, or defines it at its top level."""
+    return path.stem == name or any(
+        getattr(node, "name", None) == name
+        or any(getattr(t, "id", None) == name for t in getattr(node, "targets", ()))
+        for node in tree.body)
+
+
+def test_every_public_name_is_used_outside_its_module():
+    # a public name that nothing else names is dead weight in the API
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))}
+    unused = [name for name in smframe.__all__
+              if not any(name in _identifiers(tree) for path, tree in trees.items()
+                         if path != SRC / "__init__.py" and not _defines(path, tree, name))]
+    assert unused == []

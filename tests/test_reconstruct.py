@@ -11,8 +11,7 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, MeanHolonomy
 from smframe.field import CFL_CONSTANT, Grid
-from smframe.gauge import (Connection, Coordinates, best_reference_frame,
-                           coulomb_fix, extract_coordinates,
+from smframe.gauge import (best_reference_frame, coulomb_fix, extract_coordinates,
                            remove_mean_connection, rotate_frame)
 from smframe.gnls import GnlsState, gnls_seed_from_map, gnls_step
 from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
@@ -39,9 +38,8 @@ def test_base_point_validation():
 def test_zero_data_gives_constant_map():
     g = Grid((64,), (2 * np.pi,))
     base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    st = initial_data_sweep(geo.SPHERE, g,
-                            Coordinates(q=(np.zeros(64, complex),)),
-                            Connection(a=(np.zeros(64),)), base)
+    st = initial_data_sweep(geo.SPHERE, g, (np.zeros(64, complex),), (np.zeros(64),),
+                            base)
     assert np.max(np.abs(st.u - base.m)) < 1e-14
     assert np.max(np.abs(st.e - base.v0)) < 1e-14
     assert st.periodicity_defect < 1e-14
@@ -51,10 +49,9 @@ def test_sweep_recovers_great_circle():
     g = Grid((512,), (16 * np.pi,))
     u = presets.great_circle(g, turns=8)
     e = geo.orthonormalize_frame(geo.SPHERE, u, np.broadcast_to([0.0, 0.0, 1.0], u.shape))
-    coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
+    q, a = extract_coordinates(geo.SPHERE, g, u, e)
     c = g.center_index[0]
-    st = initial_data_sweep(geo.SPHERE, g, coords, conn,
-                            BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
     # (q, a) is constant along a great circle, where the Magnus step is exact
     assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-11
     assert np.max(np.abs(st.e - e)) < 1e-11
@@ -69,10 +66,9 @@ def _hyperbolic_roundtrip_error(n):
                   np.sinh(chi) * np.sin(x / 4.0)], axis=-1)
     u = geo.retract(geo.HYPERBOLIC, u)
     e = best_reference_frame(geo.HYPERBOLIC, u)
-    coords, conn = extract_coordinates(geo.HYPERBOLIC, g, u, e)
+    q, a = extract_coordinates(geo.HYPERBOLIC, g, u, e)
     c = g.center_index[0]
-    st = initial_data_sweep(geo.HYPERBOLIC, g, coords, conn,
-                            BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.HYPERBOLIC, g, q, a, BasePointData(u[c], e[c]))
     return np.max(geo.geodesic_distance(geo.HYPERBOLIC, st.u, u))
 
 
@@ -88,15 +84,14 @@ def test_sweep_recovers_2d_map_and_frame():
     g = Grid((64, 64), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
     e = best_reference_frame(geo.SPHERE, u)
-    coords, conn = extract_coordinates(geo.SPHERE, g, u, e)
-    coords, conn, theta = coulomb_fix(g, coords, conn)
+    q, a = extract_coordinates(geo.SPHERE, g, u, e)
+    q, a, theta = coulomb_fix(g, q, a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeanHolonomy)
-        coords, conn, ramp = remove_mean_connection(g, coords, conn)
+        q, a, ramp = remove_mean_connection(g, q, a)
     e = rotate_frame(geo.SPHERE, u, e, theta + ramp)
     c = g.center_index
-    st = initial_data_sweep(geo.SPHERE, g, coords, conn,
-                            BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
     assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-6
     # the mean-removal ramp is not periodic, so the frame mismatch piles up
     # at the wrap seam; the interior recovery is clean and the seam error is
@@ -104,6 +99,41 @@ def test_sweep_recovers_2d_map_and_frame():
     sl = (slice(16, 48), slice(16, 48))
     assert np.max(np.abs(st.e[sl] - e[sl])) < 1e-6
     assert st.periodicity_defect < 0.05
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC], ids=["sphere", "hyperbolic"])
+@pytest.mark.parametrize("n, bound", [((128,), 1e-6), ((64, 64), 2e-4)], ids=["1d", "2d"])
+@settings(max_examples=20, deadline=None)
+@given(amplitude=hst.floats(0.0, 0.5), kmax=hst.integers(1, 4),
+       seed=hst.integers(0, 2**32 - 2))
+def test_one_slice_gives_back_a_random_map_and_its_frame(target, n, bound, amplitude,
+                                                         kmax, seed):
+    # (q, a) read off a random map, gauge-fixed and swept back: u returns on
+    # the whole box, e on its central half (the mean-zero ramp is not
+    # periodic).  Worst of 2,000 (1-D) and 250 (2-D) draws at amplitude 0.5:
+    # 9.7e-8 and 3.1e-5 (S^2); a first-order sweep (Simpson weight of q's
+    # midpoint 2, not 4) gives more than 5e-2.
+    g = Grid(n, (8 * np.pi,) * len(n))
+    # a narrow envelope keeps the map constant near the seam, so the seam adds no holonomy
+    envelope = amplitude * np.exp(-0.5 * sum(x**2 for x in g.coords()))
+    v = np.zeros(g.shape + (3,))  # tangent at the base point p
+    for i, c in enumerate(np.flatnonzero(target.base_point == 0)):
+        v[..., c] = envelope * presets.random_bandlimited(g, kmax, 1.0, seed + i).real
+    # the graph u = v + sqrt(1 - kappa |v|^2) p lies on the target exactly
+    u = v + np.sqrt(1.0 - target.kappa * np.sum(v * v, axis=-1))[..., np.newaxis] \
+        * target.base_point
+    e = best_reference_frame(target, u)
+    q, a = extract_coordinates(target, g, u, e)
+    q, a, theta = coulomb_fix(g, q, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeanHolonomy)
+        q, a, ramp = remove_mean_connection(g, q, a)
+    e = rotate_frame(target, u, e, theta + ramp)
+    c = g.center_index
+    st = initial_data_sweep(target, g, q, a, BasePointData(u[c], e[c]))
+    interior = tuple(slice(m // 4, 3 * m // 4) for m in g.n)
+    assert np.max(geo.geodesic_distance(target, st.u, u)) < bound
+    assert np.max(np.abs(st.e[interior] - e[interior])) < bound
 
 
 def test_line_samples_are_exact_on_bandlimited_data():
@@ -278,10 +308,10 @@ def test_hermite_midpoint_is_fourth_order():
     errors = []
     for dt in (8e-4, 4e-4):
         provider = _bump_trajectory(dt)
-        coords, conn = gnls_step(provider.state, dt / 2.0).fields()
+        q0_half, _, a0_half = gnls_step(provider.state, dt / 2.0).fields()
         _, (q0, a0), _ = provider.advance()
-        errors.append(max(np.max(np.abs(q0 - coords.q0)),
-                          np.max(np.abs(a0 - conn.a0))))
+        errors.append(max(np.max(np.abs(q0 - q0_half)),
+                          np.max(np.abs(a0 - a0_half))))
     assert errors[0] < 1e-10
     assert errors[1] < errors[0] / 12.0
 
