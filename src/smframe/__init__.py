@@ -23,8 +23,7 @@ from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
                    gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                    parabolic_gnls_step)
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
-from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
-                          initial_data_sweep, reconstruct_trajectory,
+from .reconstruct import (MapFrameState, initial_data_sweep, reconstruct_trajectory,
                           sm_residual, time_evolve_point)
 from .diagnostics import (DiagnosticsLog, DiagnosticsRow, convergence_order,
                           energy_map, geodesic_gap, read_diagnostics)

@@ -19,12 +19,14 @@ Layout::
     length = 125.663706
 
     [initial]
-    preset = soliton          ; or  snapshot = state.smfs
+    preset = soliton          ; or  snapshot = state.smfs, with no other key
     b = 2.0                   ; remaining keys are preset parameters
 
-    [base]                    ; reconstruct only (roundtrip anchors at u0)
+    [base]                    ; read by reconstruct only, accepted by every run
     m = 1, 0, 0
     v0 = 0, 1, 0
+
+Any other section or key is a config error.
 """
 
 from __future__ import annotations
@@ -35,13 +37,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FrameInvalid
 from .field import Grid
-from .geometry import Target, target_from_name
+from .gauge import validate_frame
+from .geometry import Target, check_on_manifold, target_from_name
 
 EXPERIMENTS = ("nls1d", "gnls", "parabolic-gnls", "direct-sm",
                "parabolic-sm", "reconstruct", "roundtrip")
 _PARABOLIC = ("parabolic-gnls", "parabolic-sm")
+#: section -> its keys; [initial] takes `snapshot` alone, or `preset` and its parameters
+_KEYS = {"run": ("experiment", "target", "dt", "t_end", "snapshot_every", "epsilon", "seed",
+                "output", "run_id"),
+        "grid": ("n", "length"), "initial": ("snapshot",), "base": ("m", "v0")}
 
 
 @dataclass
@@ -93,6 +100,16 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config", f"cannot read {path}")
     if "run" not in parser or "grid" not in parser:
         raise ConfigError("config", "sections [run] and [grid] are required")
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(name, f"unknown section; expected {', '.join(_KEYS)}")
+        if name == "initial" and "snapshot" not in parser[name]:
+            continue  # preset parameters are checked against the preset
+        for key in parser[name]:
+            if key not in _KEYS[name]:
+                raise ConfigError(f"{name}.{key}", "a snapshot takes no other key"
+                                  if name == "initial" else
+                                  f"unknown key; expected one of {', '.join(_KEYS[name])}")
     run = parser["run"]
     gridsec = parser["grid"]
 
@@ -130,31 +147,24 @@ def load_config(path) -> RunConfig:
         raise ConfigError("run.epsilon",
                           f"only parabolic experiments take epsilon, not {experiment}")
 
+    n = _get(gridsec, "n", lambda raw: tuple(int(p) for p in raw.split(",")), "grid.n")
+    length = _get(gridsec, "length", lambda raw: tuple(float(p) for p in raw.split(",")),
+                  "grid.length")
+    if len(length) == 1 and len(n) > 1:
+        length = length * len(n)
     try:
-        n = tuple(int(p) for p in gridsec.get("n", "").split(","))
-        length = tuple(float(p) for p in gridsec.get("length", "").split(","))
-        if len(length) == 1 and len(n) > 1:
-            length = length * len(n)
         grid = Grid(n, length)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
 
-    preset = None
-    preset_params: dict[str, float] = {}
-    snapshot_path = None
-    if "initial" in parser:
-        init = parser["initial"]
-        if "snapshot" in init:
-            snapshot_path = init["snapshot"]
-        elif "preset" in init:
-            preset = init["preset"]
-            for key in init:
-                if key != "preset":
-                    preset_params[key] = _get(init, key, float, f"initial.{key}")
-        else:
-            raise ConfigError("initial", "needs either 'preset' or 'snapshot'")
-    else:
+    if "initial" not in parser:
         raise ConfigError("initial", "section [initial] is required")
+    init = parser["initial"]
+    preset, snapshot_path = init.get("preset"), init.get("snapshot")
+    if not (preset or snapshot_path):
+        raise ConfigError("initial", "needs either 'preset' or 'snapshot'")
+    preset_params = {key: _get(init, key, float, f"initial.{key}")
+                     for key in init if key not in ("preset", "snapshot")}
 
     base_m = base_v0 = None
     if "base" in parser:
@@ -162,6 +172,15 @@ def load_config(path) -> RunConfig:
         base_v0 = _get(parser["base"], "v0", _vector3, "base.v0")
     elif experiment == "reconstruct":
         raise ConfigError("base", "experiment reconstruct needs a [base] section")
+    if experiment == "reconstruct":  # checked before any initial data is built
+        try:
+            check_on_manifold(target, base_m)
+        except FrameInvalid as exc:
+            raise ConfigError("base.m", f"m is not a point of the target: {exc}") from exc
+        try:
+            validate_frame(target, base_m, base_v0)
+        except FrameInvalid as exc:
+            raise ConfigError("base.v0", f"v0 is not a unit tangent at m: {exc}") from exc
 
     return RunConfig(
         experiment=experiment, target=target, grid=grid, dt=dt, t_end=t_end,

@@ -9,9 +9,9 @@ integrate
 
 first along the spatial axes from the box center (axis 1 through the
 center line, then axis 2 from every point of that line), then pointwise in
-time using (q_0, a_0) at each step's start, midpoint and end, from the
-Coulomb-gauge GNLS (`GnlsTrajectory`; in 1D a_1 = 0 and it is the cubic
-NLS), each of whose steps starts from the memo of the last end state.  The
+time using (q_0, a_0) at each step's start, midpoint and end, from one
+RK4 step per dt of the Coulomb-gauge GNLS (`_gnls_stages`; in 1D a_1 = 0,
+the cubic NLS), each starting from the memo of the last end state.  The
 frame F = [u, e, Je] obeys F' = F A with A in so(3) (S^2) or so(2,1) (H^2),
 so each step is a 4th-order Magnus step whose exponential has a closed form
 (`_propagator`, shared by both transports) and keeps F on its group to
@@ -37,21 +37,6 @@ from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
 from .gauge import validate_frame
 from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
-
-
-@dataclass(frozen=True)
-class BasePointData:
-    """Anchor data: a point m on the target and a unit tangent v0 at m."""
-
-    m: np.ndarray
-    v0: np.ndarray
-
-    def validate(self, target: geo.Target) -> None:
-        try:
-            validate_frame(target, self.m, self.v0)
-        except FrameInvalid as exc:
-            raise ValueError("m is not a point of the target or v0 is not a unit "
-                             f"tangent at m: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -181,16 +166,21 @@ def _sweep(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
 
 
 def initial_data_sweep(target: geo.Target, grid: Grid, q: tuple, a: tuple,
-                       base: BasePointData) -> MapFrameState:
+                       m: np.ndarray, v0: np.ndarray) -> MapFrameState:
     """Build (u, e) at one time slice from (q, a) by axis-ordered sweeps.
 
-    u(center) = m and e(center) = v0 exactly; axis 1 is swept through the
-    center line first, then axis 2 from every point of that line.
+    u(center) = m (on the target) and e(center) = v0 (a unit tangent at m);
+    axis 1 is swept through the center line first, then axis 2 from every
+    point of that line.
     """
-    base.validate(target)
+    try:
+        validate_frame(target, m, v0)
+    except FrameInvalid as exc:
+        raise ValueError("m is not a point of the target or v0 is not a unit "
+                         f"tangent at m: {exc}") from exc
     c = grid.center_index
-    m = geo.retract(target, base.m)
-    v0 = geo.orthonormalize_frame(target, m, base.v0)
+    m = geo.retract(target, m)
+    v0 = geo.orthonormalize_frame(target, m, v0)
     frame0 = np.stack([m, v0, geo.j_apply(target, m, v0)], axis=-1)  # columns u, e, Je
 
     line, q1, a1 = grid, q[0], a[0]
@@ -232,40 +222,34 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
     return u, geo.orthonormalize_frame(target, u, frame[..., 1])
 
 
-@dataclass
-class GnlsTrajectory:
-    """Coulomb-gauge GNLS trajectory: one RK4 step per dt, with the midpoint
-    data from cubic Hermite dense output.  In 1D (a_1 = 0) this is the
-    cubic NLS of the Hasimoto picture."""
-
-    state: GnlsState
-    dt: float
-
-    def advance(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Step the trajectory by dt and return [(q0, a0)] at t, t+dt/2, t+dt."""
-        s0, dt = self.state, self.dt
-        f0 = gnls_rhs(s0)  # first same as last: the last step's f1, memoized on s0
-        s1 = gnls_step(s0, dt, k1=f0)
-        f1 = gnls_rhs(s1)
-        # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
-        q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
-        s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
-        self.state = s1
-        return [(q0, a0) for q0, _, a0 in (s.fields() for s in (s0, s_mid, s1))]
+def _gnls_stages(s0: GnlsState, dt: float) -> tuple[GnlsState, list]:
+    """One RK4 step of the Coulomb-gauge GNLS from s0 (in 1D, where a_1 = 0,
+    the cubic NLS): the end state and [(q0, a0)] at t, t+dt/2, t+dt, the
+    midpoint from cubic Hermite dense output."""
+    f0 = gnls_rhs(s0)  # first same as last: the last step's f1, memoized on s0
+    s1 = gnls_step(s0, dt, k1=f0)
+    f1 = gnls_rhs(s1)
+    # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
+    q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
+    s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
+    return s1, [(q0, a0) for q0, _, a0 in (s.fields() for s in (s0, s_mid, s1))]
 
 
-def reconstruct_trajectory(trajectory: GnlsTrajectory, base: BasePointData,
+def reconstruct_trajectory(start: GnlsState, dt: float, m: np.ndarray, v0: np.ndarray,
                            n_steps: int, snapshot_every: int = 1
                            ) -> Iterator[MapFrameState]:
-    """Sweep the initial slice now; yield it, then every `snapshot_every`-th
-    state of the pointwise time transport, each step taken as it is drawn."""
-    start = trajectory.state
-    # the first advance() reuses this derivation through the state's memo
-    state = initial_data_sweep(start.target, start.grid, start.q, start.fields()[1], base)
+    """Sweep the slice of `start` from the base point (m, v0) now; yield it,
+    then every `snapshot_every`-th state of the time transport, each step of
+    dt taken as it is drawn.  `start` is not changed; states are timed from 0."""
+    # the first step reuses this derivation through the state's memo
+    state = initial_data_sweep(start.target, start.grid, start.q, start.fields()[1], m, v0)
+    gauge_side = start
 
     def advance(st: MapFrameState) -> MapFrameState:
-        u, e = time_evolve_point(st.target, st.u, st.e, trajectory.advance(), trajectory.dt)
-        return replace(st, time=st.time + trajectory.dt, u=u, e=e)
+        nonlocal gauge_side
+        gauge_side, stages = _gnls_stages(gauge_side, dt)
+        u, e = time_evolve_point(st.target, st.u, st.e, stages, dt)
+        return replace(st, time=st.time + dt, u=u, e=e)
 
     return march(state, advance, n_steps, snapshot_every)
 

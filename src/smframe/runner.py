@@ -27,8 +27,7 @@ from .errors import ConfigError, FrameInvalid, SmframeError
 from .field import march
 from .gauge import best_reference_frame, compatibility_residual
 from .geometry import SPHERE, check_on_manifold, constraint_defect
-from .reconstruct import (BasePointData, GnlsTrajectory, MapFrameState,
-                          reconstruct_trajectory, sm_residual)
+from .reconstruct import MapFrameState, reconstruct_trajectory, sm_residual
 from .snapshot import Snapshot, read_snapshot, write_snapshot
 
 FIELD_PRESETS = {
@@ -186,20 +185,15 @@ def _map_flow(cfg: RunConfig) -> Plan:
                 None if parabolic else diag.energy_map(state), None)
 
 
-def _trajectory(cfg: RunConfig) -> GnlsTrajectory:
+def _reconstruct(cfg: RunConfig) -> Plan:
     if cfg.preset in FIELD_PRESETS:
         if cfg.grid.dim != 1 or cfg.target != SPHERE:
             raise ConfigError("initial.preset",
                               "field presets reconstruct 1D sphere maps only")
-        state = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (_initial(cfg, "q"),))
+        start = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (_initial(cfg, "q"),))
     else:
-        state, _ = _seed_gnls(cfg, _initial(cfg, "u"))
-    return GnlsTrajectory(state=state, dt=cfg.dt)
-
-
-def _reconstruct(cfg: RunConfig) -> Plan:
-    base = BasePointData(m=cfg.base_m, v0=cfg.base_v0)
-    states = reconstruct_trajectory(_trajectory(cfg), base, cfg.n_steps,
+        start, _ = _seed_gnls(cfg, _initial(cfg, "u"))
+    states = reconstruct_trajectory(start, cfg.dt, cfg.base_m, cfg.base_v0, cfg.n_steps,
                                     cfg.snapshot_every)
     window = [None, next(states)]  # the previous, yielded and next logged states
     gap_dt = cfg.dt * cfg.snapshot_every
@@ -229,8 +223,7 @@ def _roundtrip(cfg: RunConfig) -> Plan:
     first = next(direct.states)
     gstate, e_fixed = _seed_gnls(cfg, first.u)
     center = cfg.grid.center_index
-    base = BasePointData(m=first.u[center], v0=e_fixed[center])
-    recon = reconstruct_trajectory(GnlsTrajectory(state=gstate, dt=cfg.dt), base,
+    recon = reconstruct_trajectory(gstate, cfg.dt, first.u[center], e_fixed[center],
                                    cfg.n_steps, cfg.snapshot_every)
     sweep = next(recon)  # t = 0; its wrap mismatch is the run's periodicity_defect
     recon = itertools.chain([sweep], recon)

@@ -22,9 +22,7 @@ from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb
 from smframe.gnls import (GnlsState, connection_from_coordinates, gnls_dissipation,
                           gnls_mass, gnls_seed_from_map, gnls_step, nls1d_mass,
                           nls1d_step, parabolic_gnls_step)
-from smframe.reconstruct import (BasePointData, GnlsTrajectory,
-                                 initial_data_sweep, reconstruct_trajectory,
-                                 sm_residual)
+from smframe.reconstruct import initial_data_sweep, reconstruct_trajectory, sm_residual
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -54,17 +52,16 @@ def test_criterion_01_soliton_fidelity():
 
 # -- 2 ----------------------------------------------------------------------
 
-def _soliton_trajectory(g: Grid, dt: float) -> GnlsTrajectory:
+def _soliton_state(g: Grid) -> GnlsState:
     # in 1D the Coulomb-gauge GNLS (a_1 = 0) is the cubic NLS
-    q = (presets.soliton(g, 2.0),)
-    return GnlsTrajectory(GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=q), dt)
+    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=(presets.soliton(g, 2.0),))
 
 
 def _soliton_reconstruction_residual(n: int, dt: float, t_end: float) -> float:
     g = Grid((n,), (40 * np.pi,))
-    provider = _soliton_trajectory(g, dt)
-    base = BasePointData(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    states = list(reconstruct_trajectory(provider, base, int(round(t_end / dt))))
+    m, v0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    states = list(reconstruct_trajectory(_soliton_state(g), dt, m, v0,
+                                         int(round(t_end / dt))))
     return sm_residual(geo.SPHERE, g, tuple(states[-3:]), dt)
 
 
@@ -89,7 +86,7 @@ def _map_roundtrip_error(n: int) -> float:
     q, a, theta = coulomb_fix(g, q, a)
     e = rotate_frame(geo.SPHERE, u, e, theta)
     c = g.center_index
-    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, u[c], e[c])
     return float(np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)))
 
 
@@ -263,11 +260,11 @@ def test_criterion_09_equivariance():
     m = np.array([0.0, 0.0, 1.0])
     v0 = np.array([1.0, 0.0, 0.0])
 
-    def run(base):
-        return list(reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 20))
+    def run(m, v0):
+        return list(reconstruct_trajectory(_soliton_state(g), 1e-3, m, v0, 20))
 
-    run_a = run(BasePointData(m, v0))
-    run_b = run(BasePointData(R @ m, R @ v0))
+    run_a = run(m, v0)
+    run_b = run(R @ m, R @ v0)
     gap = 0.0
     for sa, sb in zip(run_a, run_b):
         gap = max(gap, float(np.max(np.abs(sa.u @ R.T - sb.u))),

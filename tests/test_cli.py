@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,7 +343,7 @@ def test_snapshot_field_of_the_wrong_shape_is_config_error(tmp_path, capsys, nam
              "complex scalar": np.ones(g.shape, complex)}[value]
     snap = tmp_path / "bad.smfs"
     write_snapshot(snap, g, geo.SPHERE, 0.0, {name: field})
-    text = text.replace("preset = soliton", f"snapshot = {snap}").replace(
+    text = text.replace("preset = soliton\nb = 2.0", f"snapshot = {snap}").replace(
         "preset = perturbed-great-circle", f"snapshot = {snap}")
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
@@ -452,6 +453,59 @@ def test_base_point_off_the_target_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, SOLITON_RECONSTRUCT_CFG.replace("m = 0, 0, 1", "m = 2, 0, 0"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
     assert "m is not a point of the target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, base", [("base.m", "m = 0, 0, 1.5\nv0 = 1, 0, 0"),
+                                         ("base.v0", "m = 0, 0, 1\nv0 = 0, 0, 1")],
+                         ids=["m", "v0"])
+def test_bad_base_point_names_its_field_before_any_set_up(tmp_path, capsys, field, base):
+    text = _pair_cfg("reconstruct", "sphere", "16, 16", _L4, 1e-3, 4, "sphere-bump")
+    text = text[:text.index("[base]")] + f"[base]\n{base}\n"
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert caught == []  # no gauge-side state was seeded
+    assert not out.exists()
+
+
+def _snapshot_cfg(tmp_path, extra):
+    """NLS1D_CFG reading its q from a snapshot, with `extra` lines in [initial]."""
+    g = Grid((64,), (62.83185307179586,))
+    write_snapshot(tmp_path / "q.smfs", g, geo.SPHERE, 0.0, {"q": presets.soliton(g, 2.0)})
+    return NLS1D_CFG.replace("preset = soliton\nb = 2.0",
+                             f"snapshot = {tmp_path / 'q.smfs'}{extra}")
+
+
+#: case -> (config edit, the start of its message)
+CONFIG_KEY_ERRORS = {
+    "misspelled run key": (lambda p: NLS1D_CFG.replace("snapshot_every", "snapshot_evry"),
+                           "run.snapshot_evry': unknown key"),
+    "extra run key": (lambda p: NLS1D_CFG.replace("run_id = demo", "run_id = demo\nbogus = 3"),
+                      "run.bogus': unknown key"),
+    "unknown section": (lambda p: NLS1D_CFG + "\n[bsae]\nm = 0, 0, 1\n",
+                        "bsae': unknown section"),
+    "misspelled grid key": (lambda p: NLS1D_CFG.replace("length =", "lenght ="),
+                            "grid.lenght': unknown key"),
+    "preset beside snapshot": (lambda p: _snapshot_cfg(p, "\npreset = soliton"),
+                               "initial.preset': a snapshot takes no other key"),
+    "parameter beside snapshot": (lambda p: _snapshot_cfg(p, "\nb = 2.0"),
+                                  "initial.b': a snapshot takes no other key"),
+    "missing grid n": (lambda p: NLS1D_CFG.replace("n = 64\n", ""),
+                       "grid.n': missing required key"),
+    "missing grid length": (lambda p: NLS1D_CFG.replace("length = 62.83185307179586\n", ""),
+                            "grid.length': missing required key"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_KEY_ERRORS))
+def test_unknown_or_missing_key_is_config_error(tmp_path, capsys, case):
+    edit, message = CONFIG_KEY_ERRORS[case]
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, edit(tmp_path)), "--output", str(out)]) == 2
+    assert f"config field '{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_roundtrip_needs_no_base_section(tmp_path):

@@ -14,34 +14,36 @@ from smframe.field import CFL_CONSTANT, Grid
 from smframe.gauge import (best_reference_frame, coulomb_fix, extract_coordinates,
                            remove_mean_connection, rotate_frame)
 from smframe.gnls import GnlsState, gnls_seed_from_map, gnls_step
-from smframe.reconstruct import (SWEEP_SUBSTEPS, BasePointData,
-                                 GnlsTrajectory, _line_samples, _magnus_generator,
-                                 _propagator, initial_data_sweep,
+from smframe.reconstruct import (SWEEP_SUBSTEPS, _gnls_stages, _line_samples,
+                                 _magnus_generator, _propagator, initial_data_sweep,
                                  reconstruct_trajectory, sm_residual,
                                  time_evolve_point)
 
+NORTH, EAST = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+
 
 def test_base_point_validation():
-    BasePointData(np.array([0.0, 0.0, 1.0]),
-                  np.array([1.0, 0.0, 0.0])).validate(geo.SPHERE)
+    g = Grid((16,), (2 * np.pi,))
+
+    def sweep(m, v0):
+        return initial_data_sweep(geo.SPHERE, g, (np.zeros(16, complex),), (np.zeros(16),),
+                                  np.array(m), np.array(v0))
+
+    sweep([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     with pytest.raises(Exception):
-        BasePointData(np.array([0.0, 0.0, 1.5]),
-                      np.array([1.0, 0.0, 0.0])).validate(geo.SPHERE)
+        sweep([0.0, 0.0, 1.5], [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        BasePointData(np.array([0.0, 0.0, 1.0]),
-                      np.array([0.0, 0.0, 1.0])).validate(geo.SPHERE)
+        sweep([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        BasePointData(np.array([0.0, 0.0, 1.0]),
-                      np.array([2.0, 0.0, 0.0])).validate(geo.SPHERE)
+        sweep([0.0, 0.0, 1.0], [2.0, 0.0, 0.0])
 
 
 def test_zero_data_gives_constant_map():
     g = Grid((64,), (2 * np.pi,))
-    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     st = initial_data_sweep(geo.SPHERE, g, (np.zeros(64, complex),), (np.zeros(64),),
-                            base)
-    assert np.max(np.abs(st.u - base.m)) < 1e-14
-    assert np.max(np.abs(st.e - base.v0)) < 1e-14
+                            NORTH, EAST)
+    assert np.max(np.abs(st.u - NORTH)) < 1e-14
+    assert np.max(np.abs(st.e - EAST)) < 1e-14
     assert st.periodicity_defect < 1e-14
 
 
@@ -51,7 +53,7 @@ def test_sweep_recovers_great_circle():
     e = geo.orthonormalize_frame(geo.SPHERE, u, np.broadcast_to([0.0, 0.0, 1.0], u.shape))
     q, a = extract_coordinates(geo.SPHERE, g, u, e)
     c = g.center_index[0]
-    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, u[c], e[c])
     # (q, a) is constant along a great circle, where the Magnus step is exact
     assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-11
     assert np.max(np.abs(st.e - e)) < 1e-11
@@ -68,7 +70,7 @@ def _hyperbolic_roundtrip_error(n):
     e = best_reference_frame(geo.HYPERBOLIC, u)
     q, a = extract_coordinates(geo.HYPERBOLIC, g, u, e)
     c = g.center_index[0]
-    st = initial_data_sweep(geo.HYPERBOLIC, g, q, a, BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.HYPERBOLIC, g, q, a, u[c], e[c])
     return np.max(geo.geodesic_distance(geo.HYPERBOLIC, st.u, u))
 
 
@@ -91,7 +93,7 @@ def test_sweep_recovers_2d_map_and_frame():
         q, a, ramp = remove_mean_connection(g, q, a)
     e = rotate_frame(geo.SPHERE, u, e, theta + ramp)
     c = g.center_index
-    st = initial_data_sweep(geo.SPHERE, g, q, a, BasePointData(u[c], e[c]))
+    st = initial_data_sweep(geo.SPHERE, g, q, a, u[c], e[c])
     assert np.max(geo.geodesic_distance(geo.SPHERE, st.u, u)) < 1e-6
     # the mean-removal ramp is not periodic, so the frame mismatch piles up
     # at the wrap seam; the interior recovery is clean and the seam error is
@@ -130,7 +132,7 @@ def test_one_slice_gives_back_a_random_map_and_its_frame(target, n, bound, ampli
         q, a, ramp = remove_mean_connection(g, q, a)
     e = rotate_frame(target, u, e, theta + ramp)
     c = g.center_index
-    st = initial_data_sweep(target, g, q, a, BasePointData(u[c], e[c]))
+    st = initial_data_sweep(target, g, q, a, u[c], e[c])
     interior = tuple(slice(m // 4, 3 * m // 4) for m in g.n)
     assert np.max(geo.geodesic_distance(target, st.u, u)) < bound
     assert np.max(np.abs(st.e[interior] - e[interior])) < bound
@@ -237,14 +239,12 @@ def test_time_evolve_point_rejects_bad_step():
         time_evolve_point(geo.SPHERE, u, e, stages, 0.0)
 
 
-def _soliton_trajectory(g, dt):
-    state = GnlsState(grid=g, target=geo.SPHERE, time=0.0,
-                      q=(presets.soliton(g, 2.0),))
-    return GnlsTrajectory(state=state, dt=dt)
+def _soliton_state(g):
+    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=(presets.soliton(g, 2.0),))
 
 
-def _soliton_run(g, base, n_steps, dt):
-    return list(reconstruct_trajectory(_soliton_trajectory(g, dt), base, n_steps))
+def _soliton_run(g, m, v0, n_steps, dt):
+    return list(reconstruct_trajectory(_soliton_state(g), dt, m, v0, n_steps))
 
 
 def _frame_gap(run_a, run_b):
@@ -262,23 +262,33 @@ def _frame_gap(run_a, run_b):
 
 def test_reconstruction_is_deterministic_and_stable_in_base():
     g = Grid((128,), (10 * np.pi,))
-    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    run_a = _soliton_run(g, base, 10, 1e-3)
-    run_b = _soliton_run(g, base, 10, 1e-3)
+    run_a = _soliton_run(g, NORTH, EAST, 10, 1e-3)
+    run_b = _soliton_run(g, NORTH, EAST, 10, 1e-3)
     assert _frame_gap(run_a, run_b) == 0.0
 
     delta = 1e-6
-    m2 = geo.retract(geo.SPHERE, base.m + np.array([delta, 0.0, 0.0]))
-    v2 = geo.orthonormalize_frame(geo.SPHERE, m2, base.v0)
-    run_c = _soliton_run(g, BasePointData(m2, v2), 10, 1e-3)
+    m2 = geo.retract(geo.SPHERE, NORTH + np.array([delta, 0.0, 0.0]))
+    v2 = geo.orthonormalize_frame(geo.SPHERE, m2, EAST)
+    run_c = _soliton_run(g, m2, v2, 10, 1e-3)
     gap = _frame_gap(run_a, run_c)
     assert 0.0 < gap < 50 * delta
 
 
+def test_two_reconstructions_from_one_start_are_identical():
+    # the start state is not advanced by a run, so a second run from the
+    # same object begins at t = 0 again
+    start = _soliton_gnls()
+    run_a = list(reconstruct_trajectory(start, 1e-3, NORTH, EAST, 5))
+    run_b = list(reconstruct_trajectory(start, 1e-3, NORTH, EAST, 5))
+    assert start.time == 0.0
+    for sa, sb in zip(run_a, run_b, strict=True):
+        assert sa.time == sb.time
+        assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.e, sb.e)
+
+
 def test_reconstructed_trajectory_satisfies_map_equation():
     g = Grid((256,), (10 * np.pi,))
-    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    states = _soliton_run(g, base, 4, 5e-4)
+    states = _soliton_run(g, NORTH, EAST, 4, 5e-4)
     res = sm_residual(geo.SPHERE, g, tuple(states[1:4]), 5e-4)
     assert res < 5e-4
     assert states[0].time == 0.0
@@ -287,37 +297,36 @@ def test_reconstructed_trajectory_satisfies_map_equation():
 
 def test_snapshot_every_thins_output():
     g = Grid((64,), (10 * np.pi,))
-    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    states = list(reconstruct_trajectory(_soliton_trajectory(g, 1e-3), base, 6,
+    states = list(reconstruct_trajectory(_soliton_state(g), 1e-3, NORTH, EAST, 6,
                                          snapshot_every=3))
     assert len(states) == 3
     assert [s.time for s in states] == pytest.approx([0.0, 3e-3, 6e-3])
 
 
-def _bump_trajectory(dt):
+def _bump_state():
     g = Grid((64, 64), (4 * np.pi, 4 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeanHolonomy)
         state, _ = gnls_seed_from_map(geo.SPHERE, g, u,
                                       best_reference_frame(geo.SPHERE, u))
-    return GnlsTrajectory(state=state, dt=dt)
+    return state
 
 
 def test_hermite_midpoint_is_fourth_order():
     errors = []
     for dt in (8e-4, 4e-4):
-        provider = _bump_trajectory(dt)
-        q0_half, _, a0_half = gnls_step(provider.state, dt / 2.0).fields()
-        _, (q0, a0), _ = provider.advance()
+        state = _bump_state()
+        q0_half, _, a0_half = gnls_step(state, dt / 2.0).fields()
+        _, (_, (q0, a0), _) = _gnls_stages(state, dt)
         errors.append(max(np.max(np.abs(q0 - q0_half)),
                           np.max(np.abs(a0 - a0_half))))
     assert errors[0] < 1e-10
     assert errors[1] < errors[0] / 12.0
 
 
-def _soliton_gnls(dt):
-    return _soliton_trajectory(Grid((256,), (20 * np.pi,)), dt)
+def _soliton_gnls():
+    return _soliton_state(Grid((256,), (20 * np.pi,)))
 
 
 def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
@@ -329,11 +338,10 @@ def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(smframe.gnls, "poisson_solve", counted)
-    provider = _soliton_gnls(1e-4)
-    provider.advance()
+    state, _ = _gnls_stages(_soliton_gnls(), 1e-4)
     first = len(solves)
     for _ in range(9):
-        provider.advance()
+        state, _ = _gnls_stages(state, 1e-4)
     assert len(solves) - first <= 5 * 9
 
 
@@ -345,10 +353,9 @@ def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
         calls.append(1)
         return derive(*args, **kwargs)
 
-    provider = _bump_trajectory(1e-4)
+    state = _bump_state()
     monkeypatch.setattr(smframe.gnls, "connection_from_coordinates", counted)
-    base = BasePointData(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    list(reconstruct_trajectory(provider, base, 3))
+    list(reconstruct_trajectory(state, 1e-4, NORTH, EAST, 3))
     # the initial slice shares the first step's k1 derivation; each step
     # then derives k2, k3, k4, the end stage and the midpoint
     assert len(calls) == 1 + 5 * 3
@@ -356,16 +363,15 @@ def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
 
 @pytest.mark.parametrize("make, dt", [(_soliton_gnls, 1e-4)], ids=["gnls"])
 def test_next_step_starts_from_the_last_end_stage(make, dt):
-    provider = make(dt)
-    end = provider.advance()[-1]
+    state, stages = _gnls_stages(make(), dt)
+    end = stages[-1]
     for _ in range(3):
-        stages = provider.advance()
+        state, stages = _gnls_stages(state, dt)
         assert all(np.array_equal(a, b) for a, b in zip(stages[0], end))
         end = stages[-1]
 
 
 def test_gnls_trajectory_checks_cfl_at_the_full_step():
-    provider = _soliton_gnls(0.0)
-    provider.dt = 1.5 * CFL_CONSTANT * provider.state.grid.spacing[0] ** 2
+    state = _soliton_gnls()
     with pytest.warns(CFLViolation):
-        provider.advance()
+        _gnls_stages(state, 1.5 * CFL_CONSTANT * state.grid.spacing[0] ** 2)
