@@ -130,6 +130,8 @@ def load_config(path) -> RunConfig:
     t_end = _get(run, "t_end", float, "run.t_end")
     if not 0 <= t_end < math.inf:
         raise ConfigError("run.t_end", f"must be finite and nonnegative, got {t_end}")
+    if not t_end / dt < math.inf:  # round() of the overflowed step count would raise
+        raise ConfigError("run.dt", f"t_end / dt = {t_end} / {dt} overflows the step count")
     if not math.isclose(t_end / dt, round(t_end / dt), rel_tol=1e-9):
         raise ConfigError("run.t_end", f"not a whole number of steps of dt = {dt}")
     snapshot_every = _get(run, "snapshot_every", int, "run.snapshot_every", default=1)

@@ -9,17 +9,17 @@ are one equation, the Heisenberg model and its non-compact form, and one
 step serves both: classical RK4 on the divergence form (whose integral is
 killed exactly by the spectral derivative, so int u is conserved to the
 retraction error), followed by a retraction onto the constraint set.  A
-failed retraction is retried once as two half steps.
+failed retraction is retried once as two half steps.  RK4 steps the half
+spectra of u; a stage transforms (u, d_k u) back and the fluxes J(u x d_k u) forth.
 
 The parabolic perturbation of the hyperbolic flow,
 
     du/dt = (eta d_k (u x d_k u) + eps (Lap u - <grad u, eta grad u> u)) / (1 + eps^2),
 
 uses a Lawson integrating-factor Heun step: the dissipative linear part
-eps Lap / (1 + eps^2) is exact in Fourier space, everything else explicit.
-
-The right-hand sides run on `field.gradient` and `field.divergence`; the
-parabolic step hands one d_k u per stage to the flux and the Dirichlet density.
+eps Lap / (1 + eps^2) is exact in Fourier space, everything else explicit;
+its right-hand side hands one `field.gradient` per stage to the flux and the
+Dirichlet density.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, check_cfl, divergence, gradient, integrate, lawson_heun, rk4, \
-    roll_axes
+from .field import Grid, _irfft, _rfft, check_cfl, divergence, gradient, integrate, \
+    lawson_heun, rk4, roll_axes
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,16 @@ def heisenberg_step(state: MapState, dt: float) -> MapState:
     as two half steps, and a second failure propagates.
     """
     check_cfl(state.grid, dt)
-    tg, grid = state.target, state.grid
+    tg, grid, ik = state.target, state.grid, state.grid.half_ik
+
+    def flux_divergence_hat(s, vh):  # on the half spectra of v's 3 components
+        v_dv = roll_axes(_irfft(grid, np.stack([vh, *(k * vh for k in ik)])), 1, -grid.dim)
+        jh = _rfft(grid, roll_axes(geo.j_apply(tg, v_dv[0], v_dv[1:]), 1, grid.dim))
+        return sum(k * jk for k, jk in zip(ik, jh))
 
     def advance(u, h):
-        return geo.retract(tg, rk4(lambda s, v: flux_divergence(tg, grid, v), u, h))
+        uh = rk4(flux_divergence_hat, _rfft(grid, roll_axes(u, 0, grid.dim)), h)
+        return geo.retract(tg, roll_axes(_irfft(grid, uh), 0, -grid.dim))
 
     try:
         u = advance(state.u, dt)

@@ -14,9 +14,10 @@ On real data `gradient`, `divergence` and `lawson_heun` use real transforms
 over the grid axes, component axes moved first (`roll_axes`) so each component
 is one contiguous block.  `spectral_derivative` takes one transform pair along
 its axis (a real pair on real input).  The GNLS right-hand side does not use
-it: it differentiates on the spectrum of one n-D transform per field, with the
-per-axis multipliers `Grid.ik` and `Grid.half_ik`.  `poisson_solve` takes a
-real right-hand side of the grid's shape, or its `rfftn` half spectrum, and
+it: it differentiates on the spectrum of one `_fft` per field (a 1-D transform
+on a 1-D grid) with the multipliers `Grid.ik` and `Grid.half_ik`, and solves
+Delta phi = d_k f by the cached `Grid.half_poisson_ik`.  `poisson_solve` takes
+a real right-hand side of the grid's shape, or its `rfftn` half spectrum, and
 solves on the half spectrum.  Odd operators (derivatives, gradient, divergence)
 zero the Nyquist mode; even ones (the Poisson and Lawson factors) keep it.
 """
@@ -121,6 +122,11 @@ class Grid:
         return np.where(self.half_k_squared == 0.0, 1.0, self.half_k_squared)
 
     @cached_property
+    def half_poisson_ik(self) -> tuple[np.ndarray, ...]:
+        """Per-axis Delta^-1 d_k on the half spectrum, -ik / |k|^2, zero mode 0."""
+        return tuple(-ik / self.poisson_denominator for ik in self.half_ik)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3 rule: True where |k_axis| <= n_axis / 3 on every axis."""
         keep = [np.abs(np.fft.fftfreq(n) * n) <= n / 3.0 for n in self.n]
@@ -138,6 +144,15 @@ def roll_axes(f: np.ndarray, lead: int, shift: int) -> np.ndarray:
     shift = grid.dim moves the grid axes last, -grid.dim moves them back."""
     rest = list(range(lead, f.ndim))
     return f.transpose(*range(lead), *rest[shift:], *rest[:shift])
+
+
+def _fft(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Complex transform over the trailing grid axes (fftn adds only overhead in 1D)."""
+    return np.fft.fft(f) if grid.dim == 1 else np.fft.fftn(f, axes=(-2, -1))
+
+
+def _ifft(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(fh) if grid.dim == 1 else np.fft.ifftn(fh, axes=(-2, -1))
 
 
 def _rfft(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -251,13 +266,12 @@ def lawson_heun(grid: Grid, y: np.ndarray, h: float, c: complex,
     through an explicit trapezoidal corrector.  Real y stays real; with a
     real c it steps on real transforms, its factor keeping the Nyquist mode."""
     real = not (np.iscomplexobj(y) or np.iscomplexobj(c))
-    axes = tuple(range(-grid.dim, 0))
     propagator = np.exp(-c * (grid.half_k_squared if real else grid.k_squared) * h)
 
     def apply_linear(v):
         v = roll_axes(v, 0, grid.dim)
         out = (_irfft(grid, _rfft(grid, v) * propagator) if real
-               else np.fft.ifftn(np.fft.fftn(v, axes=axes) * propagator, axes=axes))
+               else _ifft(grid, _fft(grid, v) * propagator))
         return roll_axes(out if np.iscomplexobj(y) else out.real, 0, -grid.dim)
 
     n0 = nonlinear(y)

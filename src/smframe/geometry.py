@@ -57,8 +57,10 @@ def target_from_name(name: str) -> Target:
 
 
 def inner(target: Target, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Ambient pairing: Euclidean dot for S^2, Lorentz <v, eta w> for H^2."""
-    return np.sum(target.metric_diag * np.asarray(v) * np.asarray(w), axis=-1)
+    """Ambient pairing: Euclidean dot for S^2, Lorentz <v, eta w> for H^2, per component."""
+    v, w = np.asarray(v), np.asarray(w)
+    first = v[..., 0] * w[..., 0] if target.kind == "sphere" else -(v[..., 0] * w[..., 0])
+    return first + v[..., 1] * w[..., 1] + v[..., 2] * w[..., 2]
 
 
 def constraint_defect(target: Target, u: np.ndarray) -> np.ndarray:
@@ -113,17 +115,14 @@ def retract(target: Target, w: np.ndarray) -> np.ndarray:
     return w / np.sqrt(quad)[..., np.newaxis]
 
 
-def normalize_tangent(target: Target, v: np.ndarray) -> np.ndarray:
-    """Scale a tangent vector to unit target-metric norm."""
+def orthonormalize_frame(target: Target, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Project e tangent at u and scale it to unit target-metric norm; used after
+    every discrete transport."""
+    v = project_tangent(target, u, e)
     norm2 = inner(target, v, v)
     if np.min(norm2) <= 0.0:
         raise FrameInvalid("tangent vector with nonpositive norm cannot be normalized")
     return v / np.sqrt(norm2)[..., np.newaxis]
-
-
-def orthonormalize_frame(target: Target, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Project e tangent at u and normalize; used after every discrete transport."""
-    return normalize_tangent(target, project_tangent(target, u, e))
 
 
 def curvature_f(target: Target, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

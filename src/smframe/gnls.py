@@ -13,8 +13,10 @@ with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
 (q_0, a, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
 gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
 of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
-the 2/3-rule truncation, and a, a_0 are Poisson solves of half spectra.  Each
-`GnlsState` memoizes its pass, which `fields()` and `gnls_rhs` both read.
+the 2/3-rule truncation, and a, a_0 are products of half spectra with the
+cached Delta^-1 d_k; in 1D, where a = f = 0, no term they multiply is formed.
+Each `GnlsState` memoizes its pass, which `fields()` and `gnls_rhs` both read;
+without that memo `fields()` takes a fields-only pass.
 `fields()` returns the plain tuple (q_0, a, a_0), a with one array per axis.
 
 The connection is never evolved: every stage recomputes a_j from q by the
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidStep, SmframeError
-from .field import Grid, _rfft, check_cfl, integrate, lawson_heun, poisson_solve, rk4, \
+from .field import Grid, _fft, _ifft, _irfft, _rfft, check_cfl, integrate, lawson_heun, rk4, \
     spectral_derivative
 from .gauge import coulomb_fix, extract_coordinates, remove_mean_connection, rotate_frame
 
@@ -88,57 +90,60 @@ def connection_from_coordinates(target: geo.Target, grid: Grid,
     if grid.dim == 1:
         return (np.zeros(grid.shape),)
     fh = _rfft(grid, geo.curvature_f(target, q[0], q[1]))
-    ik1, ik2 = grid.half_ik
-    return (poisson_solve(grid, -ik2 * fh), poisson_solve(grid, ik1 * fh))
+    p1, p2 = grid.half_poisson_ik
+    return (_irfft(grid, -p2 * fh), _irfft(grid, p1 * fh))
 
 
 def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
                q0: np.ndarray) -> np.ndarray:
     """Solve Delta a_0 = d_l f_l0 with f_l0 = kappa <q_l, i q_0>, corner-anchored."""
-    a0 = poisson_solve(grid, sum(ik * _rfft(grid, geo.curvature_f(target, ql, q0))
-                                 for ik, ql in zip(grid.half_ik, q)))
+    a0 = _irfft(grid, sum(p * _rfft(grid, geo.curvature_f(target, ql, q0))
+                          for p, ql in zip(grid.half_poisson_ik, q)))
     return a0 - a0[(0,) * grid.dim]  # vanishes at the box corner (index 0...0)
 
 
 def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
-            lap: complex):
-    """(q_0, a, a_0, rhs): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and dq_l/dt
+            lap: complex, rhs: bool = True):
+    """(q_0, a, a_0, dq_dt): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and dq_l/dt
     less (mu - lap) Delta q_l, 2/3-rule truncated, components last and read-only, where
-    dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l."""
+    dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l.
+    With rhs=False just (q_0, a, a_0), bitwise the same, from the d_l q_l alone."""
     a = connection_from_coordinates(target, grid, q)
-    f12 = geo.curvature_f(target, q[0], q[-1])  # f_ll = 0, so f = 0 in 1D
-    qh = [np.fft.fftn(ql) for ql in q]
+    qh = [_fft(grid, ql) for ql in q]
     r, q0 = [], 0.0  # q0 sums D_k q_k until scaled by mu
     for l, ql in enumerate(q):
         rl = 0.0  # 2 a_k d_k q_l + f_lk q_k
         for k, (ik, ak) in enumerate(zip(grid.ik, a)):
-            dq = np.fft.ifftn(ik * qh[l])
+            if k != l and not rhs:
+                continue
+            dq = _ifft(grid, ik * qh[l])
             if k == l:
-                q0 = q0 + (dq + 1j * ak * ql)
-            dq *= 2.0 * ak
-            rl += dq
+                q0 = q0 + (dq + 1j * ak * ql if grid.dim == 2 else dq)
+            if grid.dim == 2 and rhs:
+                dq *= 2.0 * ak
+                rl += dq
             del dq  # freed before the next transform, where a step's memory peaks
-        if grid.dim == 2:
-            rl += f12 * q[1 - l]
-            f12 *= -1.0  # f_21 for l = 2
+        if grid.dim == 2 and rhs:  # in 1D a = 0 and f = 0: no term they multiply is formed
+            rl += geo.curvature_f(target, ql, q[1 - l]) * q[1 - l]  # f_ll = 0
         r.append(rl)
-    del f12
     q0 *= mu
     a0 = a0_from_q0(target, grid, q, q0)
-    c = mu * sum(ak * ak for ak in a) + 1j * a0
+    if not rhs:
+        return q0, a, a0
+    c = 1j * a0 if grid.dim == 1 else mu * sum(ak * ak for ak in a) + 1j * a0
     spectra = []
     for ql in q:  # r_l and the spectrum of q_l are freed once used
         rl, spectrum = r.pop(0), qh.pop(0)
         rl *= 1j * mu
         rl -= c * ql
         spectrum *= -lap * grid.k_squared
-        spectrum += np.fft.fftn(rl)
+        spectrum += _fft(grid, rl)
         spectrum *= grid.dealias_mask
         spectra.append(spectrum)
     del c, rl  # freed before the inverse transforms: interleaved, they raise the peak RSS
-    rhs = _stack([np.fft.ifftn(spectrum) for spectrum in spectra])
-    rhs.flags.writeable = False
-    return q0, a, a0, rhs
+    dq_dt = _stack([_ifft(grid, spectrum) for spectrum in spectra])
+    dq_dt.flags.writeable = False
+    return q0, a, a0, dq_dt
 
 
 @dataclass(frozen=True)
@@ -151,15 +156,19 @@ class GnlsState:
     q: tuple[np.ndarray, ...]
 
     def fields(self) -> tuple:
-        """(q_0 = i D_k q_k, a, a_0): the time coordinate and the Coulomb
-        connection, derived once per state object together with `gnls_rhs`."""
-        return self._fields[:3]
+        """(q_0 = i D_k q_k, a, a_0): the time coordinate and the Coulomb connection,
+        from the memo of `gnls_rhs` if it is derived, else from a fields-only pass."""
+        return vars(self)["_fields"][:3] if "_fields" in vars(self) else self._fields_only
 
+    # both memos are kept in the instance __dict__, outside the dataclass
+    # fields, so dataclasses.replace never carries them to a state with another q
     @cached_property
     def _fields(self) -> tuple:
-        # kept in the instance __dict__, outside the dataclass fields, so
-        # dataclasses.replace never carries it to a state with another q
         return _derive(self.target, self.grid, self.q, 1j, 1j)
+
+    @cached_property
+    def _fields_only(self) -> tuple:
+        return _derive(self.target, self.grid, self.q, 1j, 1j, rhs=False)
 
 
 def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,

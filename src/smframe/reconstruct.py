@@ -241,7 +241,7 @@ def reconstruct_trajectory(start: GnlsState, dt: float, m: np.ndarray, v0: np.nd
     """Sweep the slice of `start` from the base point (m, v0) now; yield it,
     then every `snapshot_every`-th state of the time transport, each step of
     dt taken as it is drawn.  `start` is not changed; states are timed from 0."""
-    # the first step reuses this derivation through the state's memo
+    gnls_rhs(start)  # the first step's k1; the sweep reads its connection from the same memo
     state = initial_data_sweep(start.target, start.grid, start.q, start.fields()[1], m, v0)
     gauge_side = start
 

@@ -22,7 +22,8 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.cli import main
 from smframe.config import EXPERIMENTS
-from smframe.diagnostics import read_diagnostics
+from smframe.diagnostics import energy_map, read_diagnostics
+from smframe.direct import MapState, heisenberg_step
 from smframe.errors import CFLViolation
 from smframe.field import Grid
 from smframe.runner import FIELD_PRESETS, MAP_PRESETS
@@ -177,6 +178,17 @@ def test_non_finite_dt_is_config_error(tmp_path, capsys, dt):
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
     assert "run.dt" in capsys.readouterr().err
     assert not (tmp_path / "demo.diag.csv").exists()
+
+
+@pytest.mark.parametrize("dt, t_end", [("1e-320", "1"), ("5e-324", "1"),
+                                        ("1e-10", "1e300"), ("1e-300", "1e300")])
+def test_overflowing_step_count_is_config_error(tmp_path, capsys, dt, t_end):
+    # t_end / dt overflows to inf, which round() cannot count
+    cfg = _write(tmp_path, NLS1D_CFG.replace("dt = 1e-3", f"dt = {dt}")
+                 .replace("t_end = 0.01", f"t_end = {t_end}"))
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+    assert "run.dt" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("length", ["nan", "inf"])
@@ -595,7 +607,12 @@ def test_rejected_pair_leaves_earlier_outputs_unchanged(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["direct-sm", "roundtrip"])
 def test_energy_drift_of_a_conservative_flow_exits_3(tmp_path, capsys, experiment):
     # a stationary great circle stepped at dt = 5, far past stability: its
-    # state stays finite while the energy goes from 4 pi to 2171 at step 2
+    # state stays finite while round-off, amplified, takes the energy from
+    # 4 pi to about 2e3 at step 2
+    grid = Grid((64,), (12.566370614359172,))
+    state = MapState(grid=grid, target=geo.SPHERE, time=0.0, u=presets.great_circle(grid))
+    with pytest.warns(CFLViolation):
+        state = heisenberg_step(heisenberg_step(state, 5.0), 5.0)
     text = (DIRECT_CFG.replace("experiment = direct-sm", f"experiment = {experiment}")
             .replace("dt = 1e-4\nt_end = 1e-3\nsnapshot_every = 5",
                      "dt = 5\nt_end = 50\nsnapshot_every = 1")
@@ -604,7 +621,8 @@ def test_energy_drift_of_a_conservative_flow_exits_3(tmp_path, capsys, experimen
     with pytest.warns(CFLViolation):
         assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "energy 2170.99" in err and "E0 = 12.5664" in err and "step 2, t = 10" in err
+    assert f"energy {energy_map(state):.6g}" in err
+    assert "E0 = 12.5664" in err and "step 2, t = 10" in err
     assert not (tmp_path / "flow.final.smfs").exists()
 
 

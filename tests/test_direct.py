@@ -8,6 +8,8 @@ from smframe.direct import (MapState, flux_divergence, heisenberg_step, map_mome
 from smframe.errors import CFLViolation, DegenerateRetraction, InvalidStep
 from smframe.field import Grid
 
+import reference
+
 
 def _constant_state(target, grid):
     u = np.broadcast_to(target.base_point, grid.shape + (3,)).copy()
@@ -136,6 +138,32 @@ def test_parabolic_step_takes_six_real_transform_pairs(fft_census):
     fft_census.clear()
     parabolic_sm_step(st, 1e-4, 0.1)
     assert fft_census == {"fwd_nd": 6, "inv_nd": 6}
+
+
+def test_heisenberg_step_takes_five_real_transform_pairs(fft_census, real_fft_census):
+    # u in and out once, and per RK4 stage one inverse transform of (v, d_x v)
+    # and one forward transform of the flux; on grid values a stage took two pairs
+    g = Grid((64,), (4 * np.pi,))
+    st = MapState(grid=g, target=geo.SPHERE, time=0.0, u=presets.perturbed_great_circle(g))
+    fft_census.clear()
+    real_fft_census.clear()
+    heisenberg_step(st, 1e-4)
+    assert fft_census == real_fft_census == {"fwd_1d": 5, "inv_1d": 5}
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC], ids=lambda t: t.kind)
+@pytest.mark.parametrize("n", [(128,), (32, 32)], ids=["1d", "2d"])
+def test_heisenberg_step_matches_the_grid_value_reference(target, n):
+    g = Grid(n, (4 * np.pi,) * len(n))
+    if target.kind == "sphere":
+        u = presets.perturbed_great_circle(g) if len(n) == 1 else presets.sphere_bump_2d(g)
+    else:
+        u = presets.gaussian_bump_chi(g, 0.5, 0.8)
+    st = ref = MapState(grid=g, target=target, time=0.0, u=u)
+    for _ in range(20):
+        st, ref = heisenberg_step(st, 1e-4), reference.heisenberg_step(ref, 1e-4)
+    assert np.max(np.abs(st.u - ref.u)) <= 1e-13 * np.max(np.abs(ref.u))
+    assert st.time == ref.time
 
 
 @pytest.mark.parametrize("target,step", [

@@ -115,41 +115,32 @@ def _bump_state(n=32, length=8 * np.pi):
     return gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
 
 
-def _step_census(st, fft_census, real_fft_census, monkeypatch):
-    """(transforms, real transforms, Poisson solves) of one gnls_step."""
-    solves = []
-    solve = smframe.gnls.poisson_solve
-
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(smframe.gnls, "poisson_solve", counted)
+def _step_census(st, fft_census, real_fft_census):
+    """(transforms, real transforms) of one gnls_step; it makes no Poisson
+    solve, its elliptic solves being products with Grid.half_poisson_ik."""
     fft_census.clear()
     real_fft_census.clear()
     gnls_step(st, 5e-5)
-    return dict(fft_census), dict(real_fft_census), len(solves)
+    return dict(fft_census), dict(real_fft_census)
 
 
-def test_gnls_step_takes_real_transforms_of_the_real_fields(fft_census, real_fft_census,
-                                                            monkeypatch):
+def test_gnls_step_takes_real_transforms_of_the_real_fields(fft_census, real_fft_census):
     # per right-hand side: 2 forward complex n-D transforms of q_l and 4
-    # inverse ones (d_k q_l), 3 real n-D pairs (f_12, f_l0 and the Poisson
-    # solves on their spectra) and 2 complex n-D pairs (the dealias pass)
-    census = _step_census(_bump_state(), fft_census, real_fft_census, monkeypatch)
-    assert census == ({"fwd_nd": 28, "inv_nd": 36}, {"fwd_nd": 12, "inv_nd": 12}, 12)
+    # inverse ones (d_k q_l), 3 real n-D pairs (f_12, f_l0 and the
+    # connection solves on their spectra) and 2 complex n-D pairs (the
+    # dealias pass)
+    census = _step_census(_bump_state(), fft_census, real_fft_census)
+    assert census == ({"fwd_nd": 28, "inv_nd": 36}, {"fwd_nd": 12, "inv_nd": 12})
 
 
-def test_1d_gnls_step_takes_one_complex_transform_per_derivative(fft_census, real_fft_census,
-                                                                 monkeypatch):
-    # per right-hand side: a complex n-D pair for d_x q and one for the
+def test_1d_gnls_step_takes_one_complex_transform_per_derivative(fft_census, real_fft_census):
+    # per right-hand side: a complex 1-D pair for d_x q and one for the
     # dealias pass, and a real 1-D pair for a_0 (a_1 = 0 takes none)
     g = Grid((64,), (8 * np.pi,))
     st = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0,
                    q=(presets.random_bandlimited(g, 6, 0.3, 11),))
-    census = _step_census(st, fft_census, real_fft_census, monkeypatch)
-    assert census == ({"fwd_1d": 4, "inv_1d": 4, "fwd_nd": 8, "inv_nd": 8},
-                      {"fwd_1d": 4, "inv_1d": 4}, 4)
+    census = _step_census(st, fft_census, real_fft_census)
+    assert census == ({"fwd_1d": 12, "inv_1d": 12}, {"fwd_1d": 4, "inv_1d": 4})
 
 
 def test_fields_are_derived_once_per_state():
@@ -160,6 +151,22 @@ def test_fields_are_derived_once_per_state():
     assert "_fields" not in vars(moved)
     q0, a, a0 = moved.fields()
     assert not np.array_equal(a0, first[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim_n=hst.sampled_from([(1, 32), (1, 64), (2, 16), (2, 32)]),
+       target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]),
+       amplitude=hst.floats(0.1, 2.0), seed=hst.integers(0, 2**32 - 1))
+def test_fields_only_pass_gives_the_full_pass_fields(dim_n, target, amplitude, seed):
+    dim, n = dim_n
+    grid = Grid((n,) * dim, (4 * np.pi,) * dim)
+    q = tuple(presets.random_bandlimited(grid, n // 6, amplitude, seed + l) for l in range(dim))
+    fields_only = GnlsState(grid=grid, target=target, time=0.0, q=q).fields()
+    full = GnlsState(grid=grid, target=target, time=0.0, q=q)
+    gnls_rhs(full)  # fields() now reads the full pass's memo
+    q0, a, a0 = full.fields()
+    assert np.array_equal(fields_only[0], q0) and np.array_equal(fields_only[2], a0)
+    assert all(np.array_equal(x, y) for x, y in zip(fields_only[1], a))
 
 
 def test_rhs_is_the_state_memo_and_read_only():

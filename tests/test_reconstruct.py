@@ -330,19 +330,32 @@ def _soliton_gnls():
 
 
 def test_gnls_trajectory_takes_five_poisson_solves_per_step(monkeypatch):
+    # in 1D the one Poisson solve of a derivation is the a_0 equation
     solves = []
-    solve = smframe.gnls.poisson_solve
+    solve = smframe.gnls.a0_from_q0
 
     def counted(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(smframe.gnls, "poisson_solve", counted)
+    monkeypatch.setattr(smframe.gnls, "a0_from_q0", counted)
     state, _ = _gnls_stages(_soliton_gnls(), 1e-4)
     first = len(solves)
     for _ in range(9):
         state, _ = _gnls_stages(state, 1e-4)
     assert len(solves) - first <= 5 * 9
+
+
+def test_1d_gnls_stages_take_28_transforms(fft_census, real_fft_census):
+    # the RK4 stages k2, k3, k4 and the end state each take a complex pair
+    # for d_x q and one for the dealias pass, and a real pair for a_0; the
+    # midpoint's fields-only pass takes one complex and one real pair
+    state, _ = _gnls_stages(_soliton_gnls(), 1e-4)  # leaves the end state's memo
+    fft_census.clear()
+    real_fft_census.clear()
+    _gnls_stages(state, 1e-4)
+    assert real_fft_census == {"fwd_1d": 5, "inv_1d": 5}
+    assert fft_census == {"fwd_1d": 9 + 5, "inv_1d": 9 + 5}
 
 
 def test_reconstruction_derives_the_initial_connection_once(monkeypatch):
