@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (CadenceMismatch, CFLViolation, ConfigError,
                      DegenerateRetraction, FormatError, FrameInvalid,
-                     InvalidStep, MeanHolonomy, NegativeEnergy, NonZeroMean,
-                     SmframeError)
+                     InvalidStep, MeanHolonomy, NegativeEnergy, SmframeError)
 from .geometry import HYPERBOLIC, SPHERE, Target, target_from_name
 from .field import Grid
 from .gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
@@ -26,7 +25,7 @@ from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .reconstruct import (MapFrameState, initial_data_sweep, reconstruct_trajectory,
                           sm_residual, time_evolve_point)
 from .diagnostics import (DiagnosticsLog, DiagnosticsRow, convergence_order,
-                          energy_map, geodesic_gap, read_diagnostics)
+                          energy_map, geodesic_gap)
 from .snapshot import Snapshot, read_snapshot, write_snapshot
 from .config import RunConfig, load_config
 

@@ -49,6 +49,8 @@ _PARABOLIC = ("parabolic-gnls", "parabolic-sm")
 _KEYS = {"run": ("experiment", "target", "dt", "t_end", "snapshot_every", "epsilon", "seed",
                 "output", "run_id"),
         "grid": ("n", "length"), "initial": ("snapshot",), "base": ("m", "v0")}
+#: most time steps a run may take; over 1,000 times any run of the tests and examples
+MAX_STEPS = 10**8
 
 
 @dataclass
@@ -132,6 +134,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError("run.t_end", f"must be finite and nonnegative, got {t_end}")
     if not t_end / dt < math.inf:  # round() of the overflowed step count would raise
         raise ConfigError("run.dt", f"t_end / dt = {t_end} / {dt} overflows the step count")
+    if t_end / dt > MAX_STEPS:
+        raise ConfigError("run.t_end", f"t_end / dt = {t_end / dt:.3g} steps exceeds "
+                          f"the cap of {MAX_STEPS:.0e}")
     if not math.isclose(t_end / dt, round(t_end / dt), rel_tol=1e-9):
         raise ConfigError("run.t_end", f"not a whole number of steps of dt = {dt}")
     snapshot_every = _get(run, "snapshot_every", int, "run.snapshot_every", default=1)

@@ -101,19 +101,6 @@ class DiagnosticsLog:
             csv.writer(fh).writerow(map(repr, values))
 
 
-def read_diagnostics(path) -> list[DiagnosticsRow]:
-    rows: list[DiagnosticsRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            kwargs = {}
-            for col, name, i in _columns():
-                value = float(rec[col])
-                kwargs[name] = value if i is None else kwargs.get(name, ()) + (value,)
-            rows.append(DiagnosticsRow(**kwargs))
-    return rows
-
-
 def geodesic_gap(direct, reconstructed) -> float:
     """Max over the grid of the geodesic distance between two states of the
     same map at matching times (to 1e-9).

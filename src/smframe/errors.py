@@ -9,10 +9,6 @@ class DegenerateRetraction(SmframeError):
     """Point cannot be retracted onto the target manifold."""
 
 
-class NonZeroMean(SmframeError):
-    """Poisson right-hand side has a nonzero mean on the torus."""
-
-
 class FrameInvalid(SmframeError):
     """Frame field violates orthonormality or tangency."""
 

@@ -4,7 +4,7 @@ Everything lives on a uniform periodic box sampled with a power-of-two
 number of points per axis.  Scalar fields are arrays of shape grid.shape;
 vector fields carry a trailing axis of length 3, and stacked states (the
 d coordinates q_l) a trailing component axis of length d.  Derivatives
-and the Poisson solve are Fourier collocation operations, so they are
+and the elliptic inverse are Fourier collocation operations, so they are
 exact on band-limited data.
 
 Grid points are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
@@ -12,14 +12,14 @@ so the box center is an exact grid point (index n/2 on every axis).
 
 On real data `gradient`, `divergence` and `lawson_heun` use real transforms
 over the grid axes, component axes moved first (`roll_axes`) so each component
-is one contiguous block.  `spectral_derivative` takes one transform pair along
-its axis (a real pair on real input).  The GNLS right-hand side does not use
-it: it differentiates on the spectrum of one `_fft` per field (a 1-D transform
-on a 1-D grid) with the multipliers `Grid.ik` and `Grid.half_ik`, and solves
-Delta phi = d_k f by the cached `Grid.half_poisson_ik`.  `poisson_solve` takes
-a real right-hand side of the grid's shape, or its `rfftn` half spectrum, and
-solves on the half spectrum.  Odd operators (derivatives, gradient, divergence)
-zero the Nyquist mode; even ones (the Poisson and Lawson factors) keep it.
+is one contiguous block.  `spectral_derivative` takes one complex transform
+pair along its axis of a complex field of the grid's shape.  The GNLS
+right-hand side differentiates on the spectrum of one `_fft` per field (a 1-D
+transform on a 1-D grid) with the multipliers `Grid.ik` and `Grid.half_ik`.
+Every elliptic inverse, Delta phi = d_k f, is the cached multiplier
+`Grid.half_poisson_ik` applied to the half spectrum of f.  Odd operators
+(derivatives, gradient, divergence) zero the Nyquist mode; even ones (the
+Poisson and Lawson factors) keep it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CFLViolation, InvalidStep, NonZeroMean
+from .errors import CFLViolation, InvalidStep
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n[axis], d=self.spacing[axis])
 
     @cached_property
-    def odd_wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Per-axis wavenumbers with the Nyquist mode zeroed (odd operators)."""
-        return tuple(np.where(np.arange(n) == n // 2, 0.0, self.wavenumber(axis))
-                     for axis, n in enumerate(self.n))
-
-    @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 broadcast to full grid shape."""
         out = np.zeros(self.shape)
@@ -108,7 +102,9 @@ class Grid:
     @cached_property
     def ik(self) -> tuple[np.ndarray, ...]:
         """Per-axis i k on the full spectrum, Nyquist zeroed (odd operators)."""
-        return tuple(1j * _bcast(self, axis, k, 0) for axis, k in enumerate(self.odd_wavenumbers))
+        return tuple(1j * np.where(np.arange(n) == n // 2, 0.0, self.wavenumber(axis))
+                     .reshape([n if i == axis else 1 for i in range(self.dim)])
+                     for axis, n in enumerate(self.n))
 
     @cached_property
     def half_ik(self) -> tuple[np.ndarray, ...]:
@@ -116,27 +112,17 @@ class Grid:
         return tuple(ik[..., :self.n[-1] // 2 + 1] for ik in self.ik)
 
     @cached_property
-    def poisson_denominator(self) -> np.ndarray:
-        """`half_k_squared` with the zero mode set to 1 (the mode is zeroed
-        after dividing)."""
-        return np.where(self.half_k_squared == 0.0, 1.0, self.half_k_squared)
-
-    @cached_property
     def half_poisson_ik(self) -> tuple[np.ndarray, ...]:
-        """Per-axis Delta^-1 d_k on the half spectrum, -ik / |k|^2, zero mode 0."""
-        return tuple(-ik / self.poisson_denominator for ik in self.half_ik)
+        """Per-axis Delta^-1 d_k on the half spectrum, -ik / |k|^2, zero mode 0
+        (its denominator is 1 there, where ik is 0)."""
+        denominator = np.where(self.half_k_squared == 0.0, 1.0, self.half_k_squared)
+        return tuple(-ik / denominator for ik in self.half_ik)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3 rule: True where |k_axis| <= n_axis / 3 on every axis."""
         keep = [np.abs(np.fft.fftfreq(n) * n) <= n / 3.0 for n in self.n]
         return np.logical_and.reduce(np.meshgrid(*keep, indexing="ij"))
-
-
-def _bcast(grid: Grid, axis: int, values: np.ndarray, extra_ndim: int) -> np.ndarray:
-    shape = [1] * (grid.dim + extra_ndim)
-    shape[axis] = -1  # n, or n//2 + 1 on the half spectrum
-    return values.reshape(shape)
 
 
 def roll_axes(f: np.ndarray, lead: int, shift: int) -> np.ndarray:
@@ -179,37 +165,9 @@ def divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
 
 
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Fourier collocation d/dx_axis; the Nyquist mode of the derivative is zeroed.
-    Real f takes a real transform pair along the axis, complex f a complex one."""
-    f = np.asarray(f)
-    extra, n = f.ndim - grid.dim, grid.n[axis]
-    k = grid.odd_wavenumbers[axis]  # odd operator has no consistent Nyquist mode
-    if np.iscomplexobj(f):
-        fh = np.fft.fft(f, axis=axis)
-        fh *= 1j * _bcast(grid, axis, k, extra)
-        return np.fft.ifft(fh, axis=axis)
-    fh = np.fft.rfft(f, axis=axis)
-    fh *= 1j * _bcast(grid, axis, k[:n // 2 + 1], extra)
-    return np.fft.irfft(fh, n=n, axis=axis)
-
-
-def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Unique mean-zero phi with (spectral) Laplacian(phi) = rhs, for a real
-    rhs of the grid's shape or its (complex) `rfftn` half spectrum; the
-    Nyquist mode is kept.
-
-    Raises NonZeroMean when the torus solvability condition fails (the zero
-    mode is checked against the max-norm); that signals broken divergence
-    structure upstream, not a numerical issue here.
-    """
-    rhs = np.asarray(rhs)
-    spectral, points = np.iscomplexobj(rhs), np.prod(grid.shape)
-    ph = (rhs if spectral else _rfft(grid, rhs)) / grid.poisson_denominator
-    mean = abs(ph.flat[0]) / points  # exactly 0 on a derivative's spectrum
-    if mean and mean > 1e-10 * (scale := np.max(np.abs(rhs)) / (points if spectral else 1)):
-        raise NonZeroMean(f"poisson rhs mean {mean:.3e} exceeds 1e-10 * max {scale:.3e}")
-    ph.flat[0] = 0.0
-    return -_irfft(grid, ph)
+    """Fourier collocation d/dx_axis of a complex field of the grid's shape;
+    the Nyquist mode of the derivative is zeroed."""
+    return np.fft.ifft(np.fft.fft(f, axis=axis) * grid.ik[axis], axis=axis)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:

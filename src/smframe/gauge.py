@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import FrameInvalid, MeanHolonomy
-from .field import Grid, divergence, gradient, poisson_solve, spectral_derivative
+from .field import Grid, _irfft, _rfft, gradient, spectral_derivative
 
 
 def validate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray) -> None:
@@ -86,15 +86,13 @@ def gauge_transform(grid: Grid, q: tuple, a: tuple, theta: np.ndarray) -> tuple[
 
 
 def coulomb_fix(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple, np.ndarray]:
-    """Gauge-fix to the Coulomb gauge div a = 0 via Delta theta = -div a.
+    """Gauge-fix to the Coulomb gauge div a = 0 via theta = -Delta^-1 d_k a_k.
 
     In 1D this leaves a_1 constant; `remove_mean_connection` then zeroes
     it, which is the parallel gauge.
     """
-    div = divergence(grid, np.stack(a))
-    # mean-free by construction: on Coulomb data div is round-off whose own
-    # mean would fail poisson_solve's solvability check, so remove it
-    theta = poisson_solve(grid, np.mean(div) - div)
+    ah = _rfft(grid, np.stack(a))
+    theta = -_irfft(grid, sum(p * ak for p, ak in zip(grid.half_poisson_ik, ah)))
     return (*gauge_transform(grid, q, a, theta), theta)
 
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from smframe import geometry as geo
-from smframe.errors import FormatError, NonZeroMean
-from smframe.field import (Grid, divergence, gradient, integrate, lawson_heun,
-                           poisson_solve, rk4, spectral_derivative)
+from smframe.errors import FormatError
+from smframe.field import (Grid, divergence, gradient, integrate, lawson_heun, rk4,
+                           spectral_derivative)
 from smframe.snapshot import read_snapshot, write_snapshot
+
+from reference import complex_derivative, complex_poisson
 
 
 def test_grid_validation():
@@ -37,34 +39,22 @@ def test_grid_geometry():
 
 
 def test_spectral_derivative_exact_on_modes():
-    g = Grid((64,), (2 * np.pi,))
-    x = g.axis_coord(0)
-    f = np.sin(3 * x)
-    assert np.max(np.abs(spectral_derivative(g, f, 0) - 3 * np.cos(3 * x))) < 1e-12
-
-
-def test_spectral_derivative_2d_vector_fields():
-    g = Grid((32, 32), (2 * np.pi, 2 * np.pi))
+    g = Grid((32, 64), (2 * np.pi, 4 * np.pi))
     x1, x2 = g.coords()
-    v = np.stack([np.sin(x1), np.cos(2 * x2), np.sin(x1) * np.sin(x2)], axis=-1)
-    d1 = spectral_derivative(g, v, 0)
-    assert np.max(np.abs(d1[..., 0] - np.cos(x1))) < 1e-12
-    assert np.max(np.abs(d1[..., 1])) < 1e-12
+    f = np.exp(3j * x1 - 2.5j * x2)
+    assert np.max(np.abs(spectral_derivative(g, f, 0) - 3j * f)) < 1e-12
+    assert np.max(np.abs(spectral_derivative(g, f, 1) + 2.5j * f)) < 1e-12
 
 
 def test_laplacian_and_poisson_roundtrip():
+    # Delta^-1 d_k applied to d_k phi gives phi back
     g = Grid((32, 32), (2 * np.pi, 2 * np.pi))
     x1, x2 = g.coords()
     phi = np.sin(x1) * np.cos(2 * x2)
-    rhs = divergence(g, gradient(g, phi))
-    back = poisson_solve(g, rhs)
+    dh = np.fft.rfftn(gradient(g, phi), axes=(-2, -1))
+    back = np.fft.irfftn(sum(p * dk for p, dk in zip(g.half_poisson_ik, dh)), s=g.shape)
     assert np.max(np.abs(back - phi)) < 1e-12  # phi is mean-zero already
-
-
-def test_poisson_rejects_nonzero_mean():
-    g = Grid((32,), (2 * np.pi,))
-    with pytest.raises(NonZeroMean):
-        poisson_solve(g, np.ones(g.shape))
+    assert np.max(np.abs(complex_poisson(g, divergence(g, gradient(g, phi))) - phi)) < 1e-12
 
 
 def test_integrate_constant_and_vector():
@@ -151,69 +141,16 @@ def _rel_err(got, expect):
        extra=hst.sampled_from([(), (3,)]))
 def test_gradient_and_divergence_match_per_axis_derivatives(grid, seed, nyquist, extra):
     f = _real_field(grid, seed, nyquist, extra=extra)
-    expect = np.stack([spectral_derivative(grid, f, k) for k in range(grid.dim)])
+    expect = np.stack([complex_derivative(grid, f, k) for k in range(grid.dim)])
     got = gradient(grid, f)
     assert got.shape == expect.shape
     assert _rel_err(got, expect) < 1e-13
 
     flux = _real_field(grid, seed + 1, nyquist, lead=(grid.dim,), extra=extra)
-    expect = sum(spectral_derivative(grid, flux[k], k) for k in range(grid.dim))
+    expect = sum(complex_derivative(grid, flux[k], k) for k in range(grid.dim))
     got = divergence(grid, flux)
     assert got.shape == expect.shape
     assert _rel_err(got, expect) < 1e-13
-
-
-def _reference_wavenumbers(grid, axis):
-    n = grid.n[axis]
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=grid.length[axis] / n)
-
-
-def _complex_derivative(grid, f, axis):
-    """ifft(i k fft(f)).real along the axis, the Nyquist mode of k zeroed."""
-    shape = [1] * f.ndim
-    shape[axis] = grid.n[axis]
-    k = _reference_wavenumbers(grid, axis)
-    k[grid.n[axis] // 2] = 0.0
-    fh = np.fft.fft(f, axis=axis)
-    return np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis).real
-
-
-def _complex_poisson(grid, rhs):
-    """-fftn(rhs) / |k|^2 on the full spectrum, the Nyquist mode kept."""
-    k2 = sum(k**2 for k in np.meshgrid(*[_reference_wavenumbers(grid, axis)
-                                          for axis in range(grid.dim)], indexing="ij"))
-    ph = -np.fft.fftn(rhs) / np.where(k2 == 0.0, 1.0, k2)
-    ph.flat[0] = 0.0
-    return np.fft.ifftn(ph).real
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
-       extra=hst.sampled_from([(), (3,)]))
-def test_real_derivative_matches_complex_path(grid, seed, nyquist, extra):
-    # both paths zero the derivative's Nyquist mode (on the real pair irfft
-    # would also drop the purely imaginary i k X_N); the data carry energy
-    # there, so a path that kept it would differ
-    f = _real_field(grid, seed, nyquist, extra=extra)
-    for axis in range(grid.dim):
-        got = spectral_derivative(grid, f, axis)
-        assert not np.iscomplexobj(got) and got.shape == f.shape
-        assert _rel_err(got, _complex_derivative(grid, f, axis)) < 1e-13
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0))
-def test_real_poisson_solve_matches_complex_path(grid, seed, nyquist):
-    # the Poisson factor is even and keeps the Nyquist mode
-    f = _real_field(grid, seed, nyquist)
-    rhs = f - np.mean(f)
-    got = poisson_solve(grid, rhs)
-    assert not np.iscomplexobj(got) and got.shape == grid.shape
-    assert _rel_err(got, _complex_poisson(grid, rhs)) < 1e-13
-    assert np.array_equal(poisson_solve(grid, np.fft.rfftn(rhs)), got)  # half spectrum
-    for shifted in (rhs + np.max(np.abs(rhs)), np.fft.rfftn(rhs + np.max(np.abs(rhs)))):
-        with pytest.raises(NonZeroMean):
-            poisson_solve(grid, shifted)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,14 +9,14 @@ from smframe import gauge
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import FrameInvalid, MeanHolonomy
-from smframe.field import Grid, spectral_derivative
+from smframe.field import Grid
 from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
                            exponential_gauge_connection,
                            exponential_gauge_curl_residual,
                            extract_coordinates, gauge_transform, remove_mean_connection,
                            rotate_frame, validate_frame)
 
-from reference import covariant_derivative
+from reference import complex_derivative, complex_poisson, covariant_derivative
 
 
 def _great_circle_setup(n=64, boxes=4):
@@ -56,7 +56,7 @@ def test_extraction_is_isometric():
     g, u, e = _bump_setup()
     q, _ = extract_coordinates(geo.SPHERE, g, u, e)
     for axis in range(2):
-        du = spectral_derivative(g, u, axis)
+        du = complex_derivative(g, u, axis)
         assert np.max(np.abs(np.abs(q[axis]) ** 2
                              - geo.inner(geo.SPHERE, du, du))) < 1e-12
 
@@ -152,13 +152,37 @@ def test_coulomb_fix_divergence_free_and_idempotent():
     g, u, e = _bump_setup()
     q, a = extract_coordinates(geo.SPHERE, g, u, e)
     q1, a1, th1 = coulomb_fix(g, q, a)
-    div = sum(spectral_derivative(g, ak, axis) for axis, ak in enumerate(a1))
+    div = sum(complex_derivative(g, ak, axis) for axis, ak in enumerate(a1))
     # floor set by the Nyquist content of the seeded data
     assert np.max(np.abs(div)) < 1e-8
     q2, a2, th2 = coulomb_fix(g, q1, a1)
     assert np.max(np.abs(th2)) < 1e-9
     assert np.max(np.abs(q2[0] - q1[0])) < 1e-9
     assert np.max(np.abs(np.abs(q1[0]) - np.abs(q[0]))) < 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=hst.sampled_from([1, 2]), n=hst.sampled_from([16, 32, 64]),
+       length=hst.floats(2.0, 40.0), kmax=hst.integers(1, 5),
+       amplitude=hst.floats(0.01, 2.0), seed=hst.integers(0, 2**32 - 1))
+def test_coulomb_fix_angle_solves_poisson_equation(dim, n, length, kmax, amplitude, seed):
+    # Delta theta = -d_k a_k, solved on the full spectrum of the divergence
+    g = Grid((n,) * dim, (length,) * dim)
+    a = tuple(presets.random_bandlimited(g, kmax, amplitude, seed + k).real for k in range(dim))
+    q = tuple(np.ones(g.shape, complex) for _ in range(dim))
+    _, _, theta = coulomb_fix(g, q, a)
+    expect = -complex_poisson(g, sum(complex_derivative(g, ak, k) for k, ak in enumerate(a)))
+    assert np.max(np.abs(theta - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_coulomb_fix_takes_two_real_transform_pairs(fft_census, real_fft_census):
+    # one pair for theta from the stacked spectrum of a, one for grad theta
+    g, u, e = _bump_setup(32)
+    q, a = extract_coordinates(geo.SPHERE, g, u, e)
+    fft_census.clear()
+    real_fft_census.clear()
+    coulomb_fix(g, q, a)
+    assert fft_census == real_fft_census == {"fwd_nd": 2, "inv_nd": 2}
 
 
 def test_remove_mean_connection():
@@ -214,27 +238,27 @@ def test_compatibility_residual_takes_one_real_transform_pair(fft_census):
 
 
 def _per_axis_coordinates(target, g, u, e):
-    """(q, a) from one complex spectral_derivative per axis and field."""
+    """(q, a) from one complex_derivative per axis and field."""
     je = geo.j_apply(target, u, e)
     q, a = [], []
     for axis in range(g.dim):
-        du = spectral_derivative(g, u, axis)
+        du = complex_derivative(g, u, axis)
         q.append(geo.inner(target, du, e) + 1j * geo.inner(target, du, je))
-        de = geo.project_tangent(target, u, spectral_derivative(g, e, axis))
+        de = geo.project_tangent(target, u, complex_derivative(g, e, axis))
         a.append(geo.inner(target, de, je))
     return q, a
 
 
 def _per_axis_residual(target, g, q, a):
     """compatibility_residual's three numbers from per-axis derivatives."""
-    div = sum(spectral_derivative(g, ak, axis) for axis, ak in enumerate(a))
+    div = sum(complex_derivative(g, ak, axis) for axis, ak in enumerate(a))
     sym = curl = 0.0
     for l in range(g.dim):
         for k in range(l + 1, g.dim):
             sym = np.max(np.abs(covariant_derivative(g, q[l], a[k], k)
                                 - covariant_derivative(g, q[k], a[l], l)))
-            curl = np.max(np.abs(spectral_derivative(g, a[k], l)
-                                 - spectral_derivative(g, a[l], k)
+            curl = np.max(np.abs(complex_derivative(g, a[k], l)
+                                 - complex_derivative(g, a[l], k)
                                  - geo.curvature_f(target, q[l], q[k])))
     return np.max(np.abs(div)), sym, curl
 

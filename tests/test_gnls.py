@@ -10,14 +10,14 @@ import smframe.gnls
 from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
-from smframe.field import Grid, check_cfl, integrate, poisson_solve, spectral_derivative
+from smframe.field import Grid, check_cfl, integrate
 from smframe.gnls import (GnlsState, connection_from_coordinates,
                           gnls_dissipation, gnls_mass, gnls_rhs,
                           gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
 from smframe.gauge import best_reference_frame, compatibility_residual
 
-from reference import covariant_derivative
+from reference import complex_derivative, complex_poisson, covariant_derivative
 
 
 def test_check_cfl():
@@ -76,9 +76,9 @@ def test_connection_solves_curl_equation_2d():
     st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
     a = connection_from_coordinates(geo.SPHERE, g, st.q)
     f12 = geo.curvature_f(geo.SPHERE, st.q[0], st.q[1])
-    curl = spectral_derivative(g, a[1], 0) - spectral_derivative(g, a[0], 1)
+    curl = complex_derivative(g, a[1], 0) - complex_derivative(g, a[0], 1)
     assert np.max(np.abs(curl - f12)) < 1e-10
-    div = spectral_derivative(g, a[0], 0) + spectral_derivative(g, a[1], 1)
+    div = complex_derivative(g, a[0], 0) + complex_derivative(g, a[1], 1)
     assert np.max(np.abs(div)) < 1e-12
     for ak in a:
         assert abs(np.mean(ak)) < 1e-14
@@ -243,7 +243,7 @@ def test_seeding_from_map_is_compatible():
     # mass of the coordinates equals the map's Dirichlet energy (halved)
     energy = 0.0
     for k in range(2):
-        du = spectral_derivative(g, u, k)
+        du = complex_derivative(g, u, k)
         energy += integrate(g, geo.inner(geo.SPHERE, du, du))
     assert abs(2.0 * gnls_mass(st) - energy) < 1e-10
 
@@ -257,10 +257,10 @@ def _reference_rhs(target, grid, q, mu):
     a = [np.zeros(grid.shape)]
     if grid.dim == 2:
         f12 = geo.curvature_f(target, q[0], q[1])
-        a = [poisson_solve(grid, -spectral_derivative(grid, f12, 1)),
-             poisson_solve(grid, spectral_derivative(grid, f12, 0))]
+        a = [complex_poisson(grid, -complex_derivative(grid, f12, 1)),
+             complex_poisson(grid, complex_derivative(grid, f12, 0))]
     q0 = mu * sum(covariant_derivative(grid, q[k], a[k], k) for k in dims)
-    a0 = poisson_solve(grid, sum(spectral_derivative(grid, geo.curvature_f(target, q[l], q0), l)
+    a0 = complex_poisson(grid, sum(complex_derivative(grid, geo.curvature_f(target, q[l], q0), l)
                                  for l in dims))
     a0 -= a0[(0,) * grid.dim]
     full, less = [], []
