@@ -118,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SmframeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -16,10 +16,11 @@ The parabolic perturbation of the hyperbolic flow,
 
     du/dt = (eta d_k (u x d_k u) + eps (Lap u - <grad u, eta grad u> u)) / (1 + eps^2),
 
-uses a Lawson integrating-factor Heun step: the dissipative linear part
-eps Lap / (1 + eps^2) is exact in Fourier space, everything else explicit;
-its right-hand side hands one `field.gradient` per stage to the flux and the
-Dirichlet density.
+uses a Lawson integrating-factor Heun step on the half spectra of u: the
+dissipative linear part eps Lap / (1 + eps^2) is exact in Fourier space,
+everything else explicit.  Both steppers, and `flux_divergence`, share the
+stage kernel `_flux_hat`; the parabolic stage takes the Dirichlet density
+from the same d_k u and transforms its product with u forth.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, _irfft, _rfft, check_cfl, divergence, gradient, integrate, \
-    lawson_heun, rk4, roll_axes
+from .field import Grid, _irfft, _rfft, check_cfl, gradient, integrate, lawson_heun, rk4, \
+    roll_axes
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,24 @@ class MapState:
         return float(np.max(np.abs(geo.constraint_defect(self.target, self.u))))
 
 
-def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray,
-                    du: np.ndarray | None = None) -> np.ndarray:
-    """sum_k d_k J(u x d_k u): the divergence-form right-hand side; du is
-    field.gradient(grid, u) when the caller has it."""
-    du = gradient(grid, u) if du is None else du
-    return divergence(grid, geo.j_apply(target, u, du))
+def _flux_hat(target: geo.Target, grid: Grid, vh: np.ndarray) -> tuple:
+    """(v, d_k v, the half spectra of sum_k d_k J(v x d_k v)) from the half
+    spectra vh of v's 3 components; v and d_k v are components last."""
+    ik = grid.half_ik
+    v_dv = roll_axes(_irfft(grid, np.stack([vh, *(k * vh for k in ik)])), 1, -grid.dim)
+    jh = _rfft(grid, roll_axes(geo.j_apply(target, v_dv[0], v_dv[1:]), 1, grid.dim))
+    return v_dv[0], v_dv[1:], sum(k * jk for k, jk in zip(ik, jh))
 
 
-def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray,
-                      du: np.ndarray | None = None) -> np.ndarray:
-    """sum_k <d_k u, d_k u> in the target metric; du as in flux_divergence."""
-    du = gradient(grid, u) if du is None else du
+def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """sum_k d_k J(u x d_k u): the divergence-form right-hand side."""
+    uh = _rfft(grid, roll_axes(u, 0, grid.dim))
+    return roll_axes(_irfft(grid, _flux_hat(target, grid, uh)[2]), 0, -grid.dim)
+
+
+def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """sum_k <d_k u, d_k u> in the target metric."""
+    du = gradient(grid, u)
     return np.sum(geo.inner(target, du, du), axis=0)
 
 
@@ -75,15 +82,11 @@ def heisenberg_step(state: MapState, dt: float) -> MapState:
     as two half steps, and a second failure propagates.
     """
     check_cfl(state.grid, dt)
-    tg, grid, ik = state.target, state.grid, state.grid.half_ik
-
-    def flux_divergence_hat(s, vh):  # on the half spectra of v's 3 components
-        v_dv = roll_axes(_irfft(grid, np.stack([vh, *(k * vh for k in ik)])), 1, -grid.dim)
-        jh = _rfft(grid, roll_axes(geo.j_apply(tg, v_dv[0], v_dv[1:]), 1, grid.dim))
-        return sum(k * jk for k, jk in zip(ik, jh))
+    tg, grid = state.target, state.grid
 
     def advance(u, h):
-        uh = rk4(flux_divergence_hat, _rfft(grid, roll_axes(u, 0, grid.dim)), h)
+        uh = _rfft(grid, roll_axes(u, 0, grid.dim))
+        uh = rk4(lambda s, vh: _flux_hat(tg, grid, vh)[2], uh, h)
         return geo.retract(tg, roll_axes(_irfft(grid, uh), 0, -grid.dim))
 
     try:
@@ -104,12 +107,14 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
     tg, grid = state.target, state.grid
     nu = epsilon / (1.0 + epsilon**2)
 
-    def nonlinear(v):
-        du = gradient(grid, v)
-        return (flux_divergence(tg, grid, v, du) / (1.0 + epsilon**2)
-                - nu * dirichlet_density(tg, grid, v, du)[..., np.newaxis] * v)
+    def nonlinear(vh):
+        v, dv, flux = _flux_hat(tg, grid, vh)
+        density = np.sum(geo.inner(tg, dv, dv), axis=0)
+        return flux / (1.0 + epsilon**2) - nu * _rfft(grid, density * roll_axes(v, 0, grid.dim))
 
-    u_new = lawson_heun(grid, state.u, dt, nu, nonlinear)
+    uh = lawson_heun(_rfft(grid, roll_axes(state.u, 0, grid.dim)), dt,
+                     np.exp(-nu * grid.half_k_squared * dt), nonlinear)
+    u_new = roll_axes(_irfft(grid, uh), 0, -grid.dim)
     return replace(state, time=state.time + dt, u=geo.retract(tg, u_new))
 
 

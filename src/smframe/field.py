@@ -10,16 +10,17 @@ exact on band-limited data.
 Grid points are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
 
-On real data `gradient`, `divergence` and `lawson_heun` use real transforms
-over the grid axes, component axes moved first (`roll_axes`) so each component
-is one contiguous block.  `spectral_derivative` takes one complex transform
-pair along its axis of a complex field of the grid's shape.  The GNLS
-right-hand side differentiates on the spectrum of one `_fft` per field (a 1-D
-transform on a 1-D grid) with the multipliers `Grid.ik` and `Grid.half_ik`.
-Every elliptic inverse, Delta phi = d_k f, is the cached multiplier
-`Grid.half_poisson_ik` applied to the half spectrum of f.  Odd operators
-(derivatives, gradient, divergence) zero the Nyquist mode; even ones (the
-Poisson and Lawson factors) keep it.
+On real data `gradient` uses real transforms over the grid axes, component
+axes moved first (`roll_axes`) so each component is one contiguous block.
+`spectral_derivative` takes one complex transform pair along its axis of a
+complex field of the grid's shape.  The GNLS right-hand side differentiates
+on the spectrum of one `_fft` per field (a 1-D transform on a 1-D grid) with
+the multipliers `Grid.ik` and `Grid.half_ik`.  Every elliptic inverse,
+Delta phi = d_k f, is the cached multiplier `Grid.half_poisson_ik` applied
+to the half spectrum of f.  Odd operators (derivatives, gradient) zero the
+Nyquist mode; even ones (the Poisson and Lawson factors) keep it.  The
+integrators `rk4` and `lawson_heun` make no transform: each stepper hands
+them its own spectra.
 """
 
 from __future__ import annotations
@@ -158,12 +159,6 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     return roll_axes(_irfft(grid, np.stack([ik * fh for ik in grid.half_ik])), 1, -grid.dim)
 
 
-def divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
-    """sum_k d_k flux[k] for real fluxes stacked on a leading axis of length d."""
-    fh = _rfft(grid, roll_axes(np.asarray(flux), 1, grid.dim))
-    return roll_axes(_irfft(grid, sum(ik * fk for ik, fk in zip(grid.half_ik, fh))), 0, -grid.dim)
-
-
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Fourier collocation d/dx_axis of a complex field of the grid's shape;
     the Nyquist mode of the derivative is zeroed."""
@@ -217,22 +212,10 @@ def march(state, advance, n_steps: int, every: int):
             yield state
 
 
-def lawson_heun(grid: Grid, y: np.ndarray, h: float, c: complex,
-                nonlinear) -> np.ndarray:
-    """One Lawson (integrating-factor) Heun step of dy/dt = c Lap y + N(y):
-    the stiff factor exp(-c |k|^2 h) is exact in Fourier space, and N goes
-    through an explicit trapezoidal corrector.  Real y stays real; with a
-    real c it steps on real transforms, its factor keeping the Nyquist mode."""
-    real = not (np.iscomplexobj(y) or np.iscomplexobj(c))
-    propagator = np.exp(-c * (grid.half_k_squared if real else grid.k_squared) * h)
-
-    def apply_linear(v):
-        v = roll_axes(v, 0, grid.dim)
-        out = (_irfft(grid, _rfft(grid, v) * propagator) if real
-               else _ifft(grid, _fft(grid, v) * propagator))
-        return roll_axes(out if np.iscomplexobj(y) else out.real, 0, -grid.dim)
-
+def lawson_heun(y: np.ndarray, h: float, factor: np.ndarray, nonlinear) -> np.ndarray:
+    """One Lawson (integrating-factor) Heun step of dy/dt = L y + N(y) on a
+    spectrum y, where the diagonal `factor` = exp(h L) propagates the stiff
+    linear part exactly and N goes through an explicit trapezoidal corrector."""
     n0 = nonlinear(y)
-    predictor = apply_linear(y + h * n0)
-    n1 = nonlinear(predictor)
-    return apply_linear(y + 0.5 * h * n0) + 0.5 * h * n1
+    n1 = nonlinear(factor * (y + h * n0))
+    return factor * (y + 0.5 * h * n0) + 0.5 * h * n1

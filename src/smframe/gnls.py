@@ -15,9 +15,10 @@ gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
 of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
 the 2/3-rule truncation, and a, a_0 are products of half spectra with the
 cached Delta^-1 d_k; in 1D, where a = f = 0, no term they multiply is formed.
-Each `GnlsState` memoizes its pass, which `fields()` and `gnls_rhs` both read;
-without that memo `fields()` takes a fields-only pass.
-`fields()` returns the plain tuple (q_0, a, a_0), a with one array per axis.
+`_derive` hands back the spectra of the right-hand side: `GnlsState` memoizes
+its pass with them transformed back, which `fields()` and `gnls_rhs` both read,
+and the parabolic step keeps them as they are.  `fields()` returns the plain
+tuple (q_0, a, a_0), a with one array per axis.
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -37,7 +38,8 @@ from . import geometry as geo
 from .errors import InvalidStep, SmframeError
 from .field import Grid, _fft, _ifft, _irfft, _rfft, check_cfl, integrate, lawson_heun, rk4, \
     spectral_derivative
-from .gauge import coulomb_fix, extract_coordinates, remove_mean_connection, rotate_frame
+from .gauge import best_reference_frame, coulomb_fix, extract_coordinates, \
+    remove_mean_connection, rotate_frame
 
 # ---------------------------------------------------------------------------
 # 1D cubic NLS
@@ -104,8 +106,8 @@ def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
 
 def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
             lap: complex, rhs: bool = True):
-    """(q_0, a, a_0, dq_dt): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and dq_l/dt
-    less (mu - lap) Delta q_l, 2/3-rule truncated, components last and read-only, where
+    """(q_0, a, a_0, spectra): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and the
+    list of the full spectra of dq_l/dt less (mu - lap) Delta q_l, 2/3-rule truncated, where
     dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l.
     With rhs=False just (q_0, a, a_0), bitwise the same, from the d_l q_l alone."""
     a = connection_from_coordinates(target, grid, q)
@@ -140,10 +142,7 @@ def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: compl
         spectrum += _fft(grid, rl)
         spectrum *= grid.dealias_mask
         spectra.append(spectrum)
-    del c, rl  # freed before the inverse transforms: interleaved, they raise the peak RSS
-    dq_dt = _stack([_ifft(grid, spectrum) for spectrum in spectra])
-    dq_dt.flags.writeable = False
-    return q0, a, a0, dq_dt
+    return q0, a, a0, spectra
 
 
 @dataclass(frozen=True)
@@ -157,23 +156,24 @@ class GnlsState:
 
     def fields(self) -> tuple:
         """(q_0 = i D_k q_k, a, a_0): the time coordinate and the Coulomb connection,
-        from the memo of `gnls_rhs` if it is derived, else from a fields-only pass."""
-        return vars(self)["_fields"][:3] if "_fields" in vars(self) else self._fields_only
+        from the memo shared with `gnls_rhs`; on a state with no derivation yet
+        this derives the right-hand side too."""
+        return self._fields[:3]
 
-    # both memos are kept in the instance __dict__, outside the dataclass
-    # fields, so dataclasses.replace never carries them to a state with another q
+    # the memo is kept in the instance __dict__, outside the dataclass fields,
+    # so dataclasses.replace never carries it to a state with another q
     @cached_property
     def _fields(self) -> tuple:
-        return _derive(self.target, self.grid, self.q, 1j, 1j)
+        q0, a, a0, spectra = _derive(self.target, self.grid, self.q, 1j, 1j)
+        dq_dt = _stack([_ifft(self.grid, spectrum) for spectrum in spectra])
+        dq_dt.flags.writeable = False
+        return q0, a, a0, dq_dt
 
-    @cached_property
-    def _fields_only(self) -> tuple:
-        return _derive(self.target, self.grid, self.q, 1j, 1j, rhs=False)
 
-
-def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
-                       e: np.ndarray) -> tuple[GnlsState, np.ndarray]:
-    """Seed a GNLS state at t = 0 through frame extraction plus gauge fixing.
+def gnls_seed_from_map(target: geo.Target, grid: Grid,
+                       u: np.ndarray) -> tuple[GnlsState, np.ndarray]:
+    """Seed a GNLS state at t = 0 through frame extraction, along
+    `best_reference_frame`, plus gauge fixing.
 
     Going through a genuine map guarantees the compatibility conditions at
     t = 0 to scheme accuracy.  Returns the state together with the frame
@@ -182,6 +182,7 @@ def gnls_seed_from_map(target: geo.Target, grid: Grid, u: np.ndarray,
     In 1D the Coulomb condition leaves a_1 constant, so removing its mean
     gives the parallel gauge a_1 = 0.
     """
+    e = best_reference_frame(target, u)
     q, a = extract_coordinates(target, grid, u, e)
     q, a, theta = coulomb_fix(grid, q, a)
     q, a, ramp = remove_mean_connection(grid, q, a)
@@ -241,12 +242,13 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
     tg, grid = state.target, state.grid
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
 
-    def nonlinear(y):
-        # the right-hand side less mu Lap q_l, dealiased
-        return _derive(tg, grid, _unstack(y), mu, 0.0)[3]
+    def nonlinear(qh):
+        # the spectra of the right-hand side less mu Lap q_l, dealiased
+        return np.array(_derive(tg, grid, tuple(_ifft(grid, qh)), mu, 0.0)[3])
 
     q = state.q
-    qn = _unstack(lawson_heun(grid, _stack(q), dt, mu, nonlinear))
+    qh = lawson_heun(_fft(grid, np.array(q)), dt, np.exp(-mu * grid.k_squared * dt), nonlinear)
+    qn = tuple(_ifft(grid, qh))
 
     if tg.kind == "hyperbolic":
         e_old = sum(integrate(grid, np.abs(qi) ** 2) for qi in q)

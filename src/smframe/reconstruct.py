@@ -36,7 +36,7 @@ from .direct import flux_divergence
 from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
 from .gauge import validate_frame
-from .gnls import GnlsState, _stack, _unstack, gnls_rhs, gnls_step
+from .gnls import GnlsState, _derive, _stack, _unstack, gnls_rhs, gnls_step
 
 
 @dataclass(frozen=True)
@@ -225,14 +225,14 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
 def _gnls_stages(s0: GnlsState, dt: float) -> tuple[GnlsState, list]:
     """One RK4 step of the Coulomb-gauge GNLS from s0 (in 1D, where a_1 = 0,
     the cubic NLS): the end state and [(q0, a0)] at t, t+dt/2, t+dt, the
-    midpoint from cubic Hermite dense output."""
+    midpoint's from a fields-only pass on cubic Hermite dense output."""
     f0 = gnls_rhs(s0)  # first same as last: the last step's f1, memoized on s0
     s1 = gnls_step(s0, dt, k1=f0)
     f1 = gnls_rhs(s1)
     # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
     q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
-    s_mid = replace(s0, time=s0.time + 0.5 * dt, q=_unstack(q_mid))
-    return s1, [(q0, a0) for q0, _, a0 in (s.fields() for s in (s0, s_mid, s1))]
+    mid = _derive(s0.target, s0.grid, _unstack(q_mid), 1j, 1j, rhs=False)
+    return s1, [(q0, a0) for q0, _, a0 in (s0.fields(), mid, s1.fields())]
 
 
 def reconstruct_trajectory(start: GnlsState, dt: float, m: np.ndarray, v0: np.ndarray,

@@ -25,7 +25,7 @@ from .config import RunConfig
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .errors import ConfigError, FrameInvalid, SmframeError
 from .field import march
-from .gauge import best_reference_frame, compatibility_residual
+from .gauge import compatibility_residual
 from .geometry import SPHERE, check_on_manifold, constraint_defect
 from .reconstruct import MapFrameState, reconstruct_trajectory, sm_residual
 from .snapshot import Snapshot, read_snapshot, write_snapshot
@@ -142,15 +142,9 @@ def _nls1d(cfg: RunConfig) -> Plan:
                 lambda s: {"q": s.q[0]}, None, None)
 
 
-def _seed_gnls(cfg: RunConfig, u: np.ndarray) -> tuple[gnls.GnlsState, np.ndarray]:
-    """Coulomb-gauge state of the map u and its frame rotated into that gauge."""
-    e = best_reference_frame(cfg.target, u)
-    return gnls.gnls_seed_from_map(cfg.target, cfg.grid, u, e)
-
-
 def _gnls(cfg: RunConfig) -> Plan:
     """gnls and parabolic-gnls from the Coulomb-gauge seed of the initial map."""
-    state, _ = _seed_gnls(cfg, _initial(cfg, "u"))
+    state, _ = gnls.gnls_seed_from_map(cfg.target, cfg.grid, _initial(cfg, "u"))
 
     def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
         # reads q and a only: no q_0, a_0 derived or kept for the residual
@@ -192,7 +186,7 @@ def _reconstruct(cfg: RunConfig) -> Plan:
                               "field presets reconstruct 1D sphere maps only")
         start = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (_initial(cfg, "q"),))
     else:
-        start, _ = _seed_gnls(cfg, _initial(cfg, "u"))
+        start, _ = gnls.gnls_seed_from_map(cfg.target, cfg.grid, _initial(cfg, "u"))
     states = reconstruct_trajectory(start, cfg.dt, cfg.base_m, cfg.base_v0, cfg.n_steps,
                                     cfg.snapshot_every)
     window = [None, next(states)]  # the previous, yielded and next logged states
@@ -221,7 +215,7 @@ def _roundtrip(cfg: RunConfig) -> Plan:
     """Direct map flow vs gauge-side evolution + reconstruction of one seed, in lockstep."""
     direct = _map_flow(cfg)
     first = next(direct.states)
-    gstate, e_fixed = _seed_gnls(cfg, first.u)
+    gstate, e_fixed = gnls.gnls_seed_from_map(cfg.target, cfg.grid, first.u)
     center = cfg.grid.center_index
     recon = reconstruct_trajectory(gstate, cfg.dt, first.u[center], e_fixed[center],
                                    cfg.n_steps, cfg.snapshot_every)

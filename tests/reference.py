@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 
 from smframe import geometry as geo
-from smframe.direct import flux_divergence
-from smframe.field import rk4, spectral_derivative
+from smframe.direct import dirichlet_density, flux_divergence
+from smframe.field import _fft, _ifft, _irfft, _rfft, rk4, roll_axes, spectral_derivative
+from smframe.gnls import _derive, _stack, _unstack
 
 
 def _wavenumbers(grid, axis):
@@ -46,3 +47,49 @@ def heisenberg_step(state, dt):
     tg, grid = state.target, state.grid
     u = geo.retract(tg, rk4(lambda s, v: flux_divergence(tg, grid, v), state.u, dt))
     return replace(state, time=state.time + dt, u=u)
+
+
+def lawson_heun(grid, y, h, c, nonlinear):
+    """One Lawson-Heun step of dy/dt = c Lap y + N(y) on grid values: each
+    application of the factor exp(-c |k|^2 h) transforms y forth and back,
+    on real transforms for real y and c (the factor keeping the Nyquist mode)."""
+    real = not (np.iscomplexobj(y) or np.iscomplexobj(c))
+    propagator = np.exp(-c * (grid.half_k_squared if real else grid.k_squared) * h)
+
+    def apply_linear(v):
+        v = roll_axes(v, 0, grid.dim)
+        out = (_irfft(grid, _rfft(grid, v) * propagator) if real
+               else _ifft(grid, _fft(grid, v) * propagator))
+        return roll_axes(out if np.iscomplexobj(y) else out.real, 0, -grid.dim)
+
+    n0 = nonlinear(y)
+    predictor = apply_linear(y + h * n0)
+    n1 = nonlinear(predictor)
+    return apply_linear(y + 0.5 * h * n0) + 0.5 * h * n1
+
+
+def parabolic_sm_step(state, dt, epsilon):
+    """`lawson_heun` of the parabolic map flow, each stage from `flux_divergence`
+    and `dirichlet_density`, then a retraction."""
+    tg, grid = state.target, state.grid
+    nu = epsilon / (1.0 + epsilon**2)
+
+    def nonlinear(v):
+        return (flux_divergence(tg, grid, v) / (1.0 + epsilon**2)
+                - nu * dirichlet_density(tg, grid, v)[..., np.newaxis] * v)
+
+    u = geo.retract(tg, lawson_heun(grid, state.u, dt, nu, nonlinear))
+    return replace(state, time=state.time + dt, u=u)
+
+
+def parabolic_gnls_step(state, dt, epsilon):
+    """`lawson_heun` of the parabolic Coulomb-gauge system on grid values,
+    each stage the program's nonlinearity transformed back."""
+    tg, grid = state.target, state.grid
+    mu = (epsilon + 1j) / (1.0 + epsilon**2)
+
+    def nonlinear(y):
+        return _stack([_ifft(grid, s) for s in _derive(tg, grid, _unstack(y), mu, 0.0)[3]])
+
+    q = _unstack(lawson_heun(grid, _stack(state.q), dt, mu, nonlinear))
+    return replace(state, time=state.time + dt, q=q)

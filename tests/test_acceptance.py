@@ -106,7 +106,7 @@ def test_criterion_03_roundtrip_identity():
 def test_criterion_04_compatibility_persistence():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    state = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    state = gnls_seed_from_map(geo.SPHERE, g, u)[0]
 
     def compat(st):
         return max(compatibility_residual(

@@ -14,7 +14,6 @@ from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
 from smframe.field import Grid, integrate
 from smframe.gnls import gnls_mass, gnls_seed_from_map
-from smframe.gauge import best_reference_frame
 
 
 def _state(target, grid, u):
@@ -43,7 +42,7 @@ def test_energy_map_values():
 def test_energy_map_matches_gauge_mass():
     g = Grid((64, 64), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
-    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     energy = energy_map(_state(geo.SPHERE, g, u))
     assert abs(energy - 2.0 * gnls_mass(st)) < 1e-10
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe import presets
@@ -9,6 +11,7 @@ from smframe.errors import CFLViolation, DegenerateRetraction, InvalidStep
 from smframe.field import Grid
 
 import reference
+from reference import complex_derivative
 
 
 def _constant_state(target, grid):
@@ -128,16 +131,15 @@ def test_map_moment_conventions():
     assert np.allclose(map_moment(st), [0.0, 0.0, 0.0])
 
 
-def test_parabolic_step_takes_six_real_transform_pairs(fft_census):
-    # per Lawson stage one gradient and one divergence, plus the linear
-    # factor twice; per-axis complex derivatives took 12 + 12 1-D and
-    # 2 + 2 n-D transforms
+def test_parabolic_step_takes_five_forward_and_three_inverse_real_transforms(fft_census):
+    # u in and out once, and per Lawson stage one inverse transform of
+    # (v, d_k v) and two forward ones, of the fluxes and of density * v
     g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
     st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
                   u=presets.gaussian_bump_chi(g, 0.5, 0.8))
     fft_census.clear()
     parabolic_sm_step(st, 1e-4, 0.1)
-    assert fft_census == {"fwd_nd": 6, "inv_nd": 6}
+    assert fft_census == {"fwd_nd": 5, "inv_nd": 3}
 
 
 def test_heisenberg_step_takes_five_real_transform_pairs(fft_census, real_fft_census):
@@ -176,3 +178,43 @@ def test_steppers_keep_components_contiguous(target, step):
     st = step(MapState(grid=g, target=target, time=0.0, u=u), 1e-4)
     assert st.u.shape == g.shape + (3,)
     assert all(st.u[..., c].flags.c_contiguous for c in range(3))
+
+
+def _random_map(target, grid, kmax, amplitude, seed):
+    bump = np.stack([presets.random_bandlimited(grid, kmax, amplitude, seed + i).real
+                     for i in range(3)], axis=-1)
+    return geo.retract(target, target.base_point + bump)
+
+
+_maps = dict(target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]),
+             n=hst.sampled_from([(32,), (64,), (16, 16), (32, 16)]),
+             length=hst.floats(4.0, 40.0), kmax=hst.integers(1, 8),
+             amplitude=hst.floats(0.0, 0.5), seed=hst.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_maps)
+def test_flux_divergence_matches_per_axis_derivatives(target, n, length, kmax, amplitude,
+                                                       seed):
+    g = Grid(n, (length,) * len(n))
+    u = _random_map(target, g, kmax, amplitude, seed)
+    expect = sum(complex_derivative(g, geo.j_apply(target, u, complex_derivative(g, u, k)), k)
+                 for k in range(g.dim))
+    got = flux_divergence(target, g, u)
+    assert got.shape == expect.shape
+    # round-off in u, differentiated twice, is of size eps |u|^2 k_nyquist^2;
+    # 3,000 draws read at most 1.4e-16 of that scale
+    scale = np.max(np.abs(u)) ** 2 * max(np.pi / h for h in g.spacing) ** 2
+    assert np.max(np.abs(got - expect)) <= 2e-15 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(**{**_maps, "target": hst.just(geo.HYPERBOLIC)},
+       dt=hst.floats(1e-5, 1e-3), epsilon=hst.floats(0.01, 1.0))
+def test_parabolic_step_matches_the_grid_value_reference(target, n, length, kmax, amplitude,
+                                                          seed, dt, epsilon):
+    g = Grid(n, (length,) * len(n))
+    st = MapState(grid=g, target=target, time=0.0, u=_random_map(target, g, kmax, amplitude, seed))
+    got, ref = parabolic_sm_step(st, dt, epsilon), reference.parabolic_sm_step(st, dt, epsilon)
+    assert np.max(np.abs(got.u - ref.u)) <= 1e-13 * np.max(np.abs(ref.u))
+    assert got.time == ref.time

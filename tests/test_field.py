@@ -7,8 +7,7 @@ from hypothesis import strategies as hst
 
 from smframe import geometry as geo
 from smframe.errors import FormatError
-from smframe.field import (Grid, divergence, gradient, integrate, lawson_heun, rk4,
-                           spectral_derivative)
+from smframe.field import Grid, gradient, integrate, lawson_heun, rk4, spectral_derivative
 from smframe.snapshot import read_snapshot, write_snapshot
 
 from reference import complex_derivative, complex_poisson
@@ -54,7 +53,8 @@ def test_laplacian_and_poisson_roundtrip():
     dh = np.fft.rfftn(gradient(g, phi), axes=(-2, -1))
     back = np.fft.irfftn(sum(p * dk for p, dk in zip(g.half_poisson_ik, dh)), s=g.shape)
     assert np.max(np.abs(back - phi)) < 1e-12  # phi is mean-zero already
-    assert np.max(np.abs(complex_poisson(g, divergence(g, gradient(g, phi))) - phi)) < 1e-12
+    lap = sum(complex_derivative(g, dk, k) for k, dk in enumerate(gradient(g, phi)))
+    assert np.max(np.abs(complex_poisson(g, lap) - phi)) < 1e-12
 
 
 def test_integrate_constant_and_vector():
@@ -101,18 +101,37 @@ def test_rk4_passes_stage_times():
 
 
 def test_lawson_heun_is_exact_on_linear_part():
-    # with a zero nonlinearity the scheme must integrate dq/dt = mu q_xx
-    # exactly (integrating-factor property)
+    # with a zero nonlinearity the scheme must integrate dy/dt = mu Lap y
+    # exactly (integrating-factor property): a complex 1-D field on its full
+    # spectrum, and a real 2-D field on its half spectrum with energy in the
+    # Nyquist mode of each axis, which the factor keeps
+    eps, dt = 0.3, 1e-2
+    mu, nu = (eps + 1j) / (1.0 + eps**2), eps / (1.0 + eps**2)
     g = Grid((64,), (2 * np.pi,))
-    eps = 0.3
-    mu = (eps + 1j) / (1.0 + eps**2)
     x = g.axis_coord(0)
     q = np.exp(2j * x) + 0.5 * np.exp(-3j * x)
-    dt = 1e-2
-    out = lawson_heun(g, q, dt, mu, np.zeros_like)
+    out = np.fft.ifft(lawson_heun(np.fft.fft(q), dt, np.exp(-mu * g.k_squared * dt),
+                                  np.zeros_like))
     expect = (np.exp(2j * x) * np.exp(-mu * 4 * dt)
               + 0.5 * np.exp(-3j * x) * np.exp(-mu * 9 * dt))
     assert np.max(np.abs(out - expect)) < 1e-13
+
+    g = Grid((16, 32), (2 * np.pi, 4 * np.pi))  # Nyquist wavenumber 8 on both axes
+    x1, x2 = g.coords()
+    u = np.cos(8 * x1) + 0.5 * np.cos(8 * x2) + np.sin(x1 - 2.5 * x2)
+    uh = lawson_heun(np.fft.rfftn(u), dt, np.exp(-nu * g.half_k_squared * dt), np.zeros_like)
+    out = np.fft.irfftn(uh, s=g.shape, axes=(0, 1))
+    expect = ((np.cos(8 * x1) + 0.5 * np.cos(8 * x2)) * np.exp(-nu * 64 * dt)
+              + np.sin(x1 - 2.5 * x2) * np.exp(-nu * 7.25 * dt))
+    assert np.max(np.abs(out - expect)) < 1e-13
+
+
+def test_integrators_make_no_transform(fft_census):
+    y = np.fft.fft(np.arange(8.0))
+    fft_census.clear()
+    rk4(lambda s, v: -v, y, 0.1)
+    lawson_heun(y, 0.1, np.full(8, 0.5), lambda v: v * v)
+    assert fft_census == {}
 
 
 _grids = hst.builds(
@@ -121,13 +140,13 @@ _grids = hst.builds(
     hst.tuples(hst.floats(1.0, 20.0), hst.floats(1.0, 20.0)))
 
 
-def _real_field(grid, seed, nyquist, lead=(), extra=()):
+def _real_field(grid, seed, nyquist, extra=()):
     """Random real samples (every mode up to Nyquist carries energy) plus
     `nyquist` times the Nyquist mode cos(pi j) of each axis."""
-    f = np.random.default_rng(seed).standard_normal(lead + grid.shape + extra)
+    f = np.random.default_rng(seed).standard_normal(grid.shape + extra)
     for axis, n in enumerate(grid.n):
         shape = [1] * f.ndim
-        shape[len(lead) + axis] = n
+        shape[axis] = n
         f += nyquist * ((-1.0) ** np.arange(n)).reshape(shape)
     return f
 
@@ -139,36 +158,12 @@ def _rel_err(got, expect):
 @settings(max_examples=60, deadline=None)
 @given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
        extra=hst.sampled_from([(), (3,)]))
-def test_gradient_and_divergence_match_per_axis_derivatives(grid, seed, nyquist, extra):
+def test_gradient_matches_per_axis_derivatives(grid, seed, nyquist, extra):
     f = _real_field(grid, seed, nyquist, extra=extra)
     expect = np.stack([complex_derivative(grid, f, k) for k in range(grid.dim)])
     got = gradient(grid, f)
     assert got.shape == expect.shape
     assert _rel_err(got, expect) < 1e-13
-
-    flux = _real_field(grid, seed + 1, nyquist, lead=(grid.dim,), extra=extra)
-    expect = sum(complex_derivative(grid, flux[k], k) for k in range(grid.dim))
-    got = divergence(grid, flux)
-    assert got.shape == expect.shape
-    assert _rel_err(got, expect) < 1e-13
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=_grids, seed=hst.integers(0, 2**32 - 1), nyquist=hst.floats(0.5, 2.0),
-       extra=hst.sampled_from([(), (3,)]), h=hst.floats(1e-3, 1e-1),
-       c=hst.floats(0.05, 1.0))
-def test_real_lawson_heun_matches_complex_path(grid, seed, nyquist, extra, h, c):
-    # the real path's factor must keep the Nyquist mode of |k|^2, as the
-    # complex path does; the data carry energy there to tell them apart
-    y = _real_field(grid, seed, nyquist, extra=extra)
-
-    def nonlinear(v):
-        return 0.5 * v - 0.1 * v**3
-
-    real = lawson_heun(grid, y, h, c, nonlinear)
-    assert not np.iscomplexobj(real)
-    expect = lawson_heun(grid, y.astype(complex), h, c, nonlinear).real
-    assert _rel_err(real, expect) < 1e-14
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -11,12 +11,13 @@ from smframe import geometry as geo
 from smframe import presets
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
 from smframe.field import Grid, check_cfl, integrate
-from smframe.gnls import (GnlsState, connection_from_coordinates,
+from smframe.gnls import (GnlsState, _derive, connection_from_coordinates,
                           gnls_dissipation, gnls_mass, gnls_rhs,
                           gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_mass, nls1d_step,
                           parabolic_gnls_step)
-from smframe.gauge import best_reference_frame, compatibility_residual
+from smframe.gauge import compatibility_residual
 
+import reference
 from reference import complex_derivative, complex_poisson, covariant_derivative
 
 
@@ -73,7 +74,7 @@ def test_connection_is_zero_in_1d():
 def test_connection_solves_curl_equation_2d():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     a = connection_from_coordinates(geo.SPHERE, g, st.q)
     f12 = geo.curvature_f(geo.SPHERE, st.q[0], st.q[1])
     curl = complex_derivative(g, a[1], 0) - complex_derivative(g, a[0], 1)
@@ -101,7 +102,7 @@ def test_gnls_1d_matches_scalar_nls():
 def test_gnls_conserves_mass_2d():
     g = Grid((64, 64), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
-    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     m0 = gnls_mass(st)
     for _ in range(20):
         st = gnls_step(st, 5e-5)
@@ -112,7 +113,7 @@ def test_gnls_conserves_mass_2d():
 def _bump_state(n=32, length=8 * np.pi):
     g = Grid((n, n), (length, length))
     u = presets.sphere_bump_2d(g, 0.5, 1.4)
-    return gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    return gnls_seed_from_map(geo.SPHERE, g, u)[0]
 
 
 def _step_census(st, fft_census, real_fft_census):
@@ -161,10 +162,8 @@ def test_fields_only_pass_gives_the_full_pass_fields(dim_n, target, amplitude, s
     dim, n = dim_n
     grid = Grid((n,) * dim, (4 * np.pi,) * dim)
     q = tuple(presets.random_bandlimited(grid, n // 6, amplitude, seed + l) for l in range(dim))
-    fields_only = GnlsState(grid=grid, target=target, time=0.0, q=q).fields()
-    full = GnlsState(grid=grid, target=target, time=0.0, q=q)
-    gnls_rhs(full)  # fields() now reads the full pass's memo
-    q0, a, a0 = full.fields()
+    fields_only = _derive(target, grid, q, 1j, 1j, rhs=False)
+    q0, a, a0 = GnlsState(grid=grid, target=target, time=0.0, q=q).fields()
     assert np.array_equal(fields_only[0], q0) and np.array_equal(fields_only[2], a0)
     assert all(np.array_equal(x, y) for x, y in zip(fields_only[1], a))
 
@@ -201,7 +200,7 @@ def test_parabolic_step_keeps_2d_compatibility():
     # flow; a drifted a_0 equation raises dq_symmetry to ~1.5e-5 here
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     for _ in range(20):
         st = parabolic_gnls_step(st, 2e-5, 0.1)
     a = connection_from_coordinates(geo.SPHERE, g, st.q)
@@ -210,17 +209,18 @@ def test_parabolic_step_keeps_2d_compatibility():
 
 
 def test_parabolic_step_dealiases_in_one_spectral_pass(fft_census):
-    # per component and Heun stage the nonlinearity transforms q_l once
-    # (two inverse for d_k q_l) and rhs_l once, with one inverse; each stage
-    # adds 3 real pairs (f_12, f_l0, Poisson) and the Lawson factor one pair
+    # the step transforms the stacked q in and out once; per Heun stage one
+    # inverse transform of the stacked spectra, then per component q_l once
+    # (two inverse for d_k q_l) and rhs_l once, with no inverse, plus 3 real
+    # pairs (f_12, f_l0, Poisson)
     g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # MeanHolonomy of the small box
-        st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+        st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     fft_census.clear()
     parabolic_gnls_step(st, 2e-5, 0.1)
-    assert fft_census == {"fwd_nd": 16, "inv_nd": 20}
+    assert fft_census == {"fwd_nd": 15, "inv_nd": 17}
 
 
 def test_parabolic_step_validates_arguments():
@@ -238,7 +238,7 @@ def test_parabolic_step_validates_arguments():
 def test_seeding_from_map_is_compatible():
     g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
-    st = gnls_seed_from_map(geo.SPHERE, g, u, best_reference_frame(geo.SPHERE, u))[0]
+    st = gnls_seed_from_map(geo.SPHERE, g, u)[0]
     assert max(compatibility_residual(geo.SPHERE, g, st.q, st.fields()[1])) < 1e-9
     # mass of the coordinates equals the map's Dirichlet energy (halved)
     energy = 0.0
@@ -302,10 +302,30 @@ def test_fused_rhs_matches_covariant_derivatives(dim_n, target, amplitude, epsil
     seen = []
     with pytest.MonkeyPatch.context() as mp:  # capture the step's nonlinearity
         mp.setattr(smframe.gnls, "lawson_heun",
-                   lambda grid, y, h, c, nonlinear: seen.append((c, nonlinear)) or y)
+                   lambda y, h, factor, nonlinear: seen.append((factor, nonlinear)) or y)
         parabolic_gnls_step(GnlsState(grid=grid, target=target, time=0.0, q=q), 1e-4, epsilon)
-    (c, nonlinear), = seen
-    assert c == mu
-    got = nonlinear(np.stack(q, axis=-1))
+    (factor, nonlinear), = seen
+    assert np.array_equal(factor, np.exp(-mu * grid.k_squared * 1e-4))
+    axes = tuple(range(1, dim + 1))
+    got = np.fft.ifftn(nonlinear(np.fft.fftn(np.array(q), axes=axes)), axes=axes)
+    got = np.moveaxis(got, 0, -1)
     # relative to the full right-hand side: mu Delta q_l cancels out of it
     assert np.max(np.abs(got - less)) <= FUSED_RHS_TOL * np.max(np.abs(full))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim_n=hst.sampled_from([(1, 32), (1, 64), (2, 16), (2, 32)]),
+       target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]),
+       amplitude=hst.floats(0.1, 2.0), dt=hst.floats(1e-5, 1e-3), epsilon=hst.floats(0.01, 1.0),
+       seed=hst.integers(0, 2**32 - 1))
+def test_parabolic_step_matches_the_grid_value_reference(dim_n, target, amplitude, dt, epsilon,
+                                                          seed):
+    # 1,000 draws by hand read at most 6.5e-16
+    dim, n = dim_n
+    grid = Grid((n,) * dim, (4 * np.pi,) * dim)
+    q = tuple(presets.random_bandlimited(grid, n // 6, amplitude, seed + l) for l in range(dim))
+    st = GnlsState(grid=grid, target=target, time=0.0, q=q)
+    got, ref = parabolic_gnls_step(st, dt, epsilon), reference.parabolic_gnls_step(st, dt, epsilon)
+    scale = max(np.max(np.abs(qi)) for qi in ref.q)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got.q, ref.q)) <= 1e-13 * scale
+    assert got.time == ref.time

@@ -308,8 +308,7 @@ def _bump_state():
     u = presets.sphere_bump_2d(g, 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeanHolonomy)
-        state, _ = gnls_seed_from_map(geo.SPHERE, g, u,
-                                      best_reference_frame(geo.SPHERE, u))
+        state, _ = gnls_seed_from_map(geo.SPHERE, g, u)
     return state
 
 
