@@ -100,10 +100,10 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
     """Lawson-Heun step of the parabolically perturbed hyperbolic flow."""
     if state.target.kind != "hyperbolic":
         raise ValueError("parabolic_sm_step needs a hyperbolic target")
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
-    if epsilon <= 0:
-        raise InvalidStep(f"epsilon must be positive, got {epsilon}")
+    if not 0 < dt < np.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
+    if not 0 < epsilon < np.inf:
+        raise InvalidStep(f"epsilon must be positive and finite, got {epsilon}")
     tg, grid = state.target, state.grid
     nu = epsilon / (1.0 + epsilon**2)
 

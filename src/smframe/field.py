@@ -2,10 +2,9 @@
 
 Everything lives on a uniform periodic box sampled with a power-of-two
 number of points per axis.  Scalar fields are arrays of shape grid.shape;
-vector fields carry a trailing axis of length 3, and stacked states (the
-d coordinates q_l) a trailing component axis of length d.  Derivatives
-and the elliptic inverse are Fourier collocation operations, so they are
-exact on band-limited data.
+vector fields carry a trailing axis of length 3, and the d frame coordinates
+q_l, a_l a leading axis of length d.  Derivatives and the elliptic inverse
+are Fourier collocation operations, so they are exact on band-limited data.
 
 Grid points are centered: axis i samples x = (j - n/2) h for j = 0..n-1,
 so the box center is an exact grid point (index n/2 on every axis).
@@ -14,7 +13,7 @@ On real data `gradient` uses real transforms over the grid axes, component
 axes moved first (`roll_axes`) so each component is one contiguous block.
 `spectral_derivative` takes one complex transform pair along its axis of a
 complex field of the grid's shape.  The GNLS right-hand side differentiates
-on the spectrum of one `_fft` per field (a 1-D transform on a 1-D grid) with
+on the spectra of one `_fft` of all q_l (1-D transforms on a 1-D grid) with
 the multipliers `Grid.ik` and `Grid.half_ik`.  Every elliptic inverse,
 Delta phi = d_k f, is the cached multiplier `Grid.half_poisson_ik` applied
 to the half spectrum of f.  Odd operators (derivatives, gradient) zero the
@@ -177,13 +176,14 @@ def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:
     return total
 
 
-#: default dispersive stability constant: warn when dt > CFL_CONSTANT * h^2
+#: the dispersive stability estimate of the explicit steppers, a fixed
+#: constant: `check_cfl` warns when dt > CFL_CONSTANT * h^2, h the finest spacing
 CFL_CONSTANT = 0.5 / np.pi**2
 
 
 def check_cfl(grid: Grid, dt: float) -> None:
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
     limit = CFL_CONSTANT * min(grid.spacing) ** 2
     if dt > limit:
         warnings.warn(f"dt = {dt:.3e} exceeds dispersive stability estimate "

@@ -15,7 +15,7 @@ field theta, e -> cos(theta) e + sin(theta) Je, transforms
 which is the U(1) transformation law implemented by `gauge_transform` (the
 two sides are tied together: this is the unique pairing under which the
 covariant derivative D_l = d_l + i a_l transforms covariantly).  Every stage
-passes q and a as plain tuples of arrays, one per spatial axis.
+passes q and a as plain arrays of shape (d, *grid.shape), components first.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def rotate_frame(target: geo.Target, u: np.ndarray, e: np.ndarray,
 
 
 def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
-                        e: np.ndarray) -> tuple[tuple, tuple]:
+                        e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward construction: read (q, a) off a map and its frame.
 
     Spatial components only; a_0 and q_0 belong to the evolution solvers.
@@ -75,28 +75,29 @@ def extract_coordinates(target: geo.Target, grid: Grid, u: np.ndarray,
     du = gradient(grid, u)  # d_l u on the leading axis
     de = geo.project_tangent(target, u, gradient(grid, e))
     q = geo.inner(target, du, e) + 1j * geo.inner(target, du, je)
-    return tuple(q), tuple(geo.inner(target, de, je))
+    return q, geo.inner(target, de, je)
 
 
-def gauge_transform(grid: Grid, q: tuple, a: tuple, theta: np.ndarray) -> tuple[tuple, tuple]:
+def gauge_transform(grid: Grid, q: np.ndarray, a: np.ndarray,
+                    theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the U(1) gauge change of a frame rotation by theta."""
-    phase = np.exp(-1j * theta)
-    return (tuple(phase * qk for qk in q),
-            tuple(ak + dk for ak, dk in zip(a, gradient(grid, theta))))
+    return np.exp(-1j * theta) * q, a + gradient(grid, theta)
 
 
-def coulomb_fix(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple, np.ndarray]:
+def coulomb_fix(grid: Grid, q: np.ndarray,
+                a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge-fix to the Coulomb gauge div a = 0 via theta = -Delta^-1 d_k a_k.
 
     In 1D this leaves a_1 constant; `remove_mean_connection` then zeroes
     it, which is the parallel gauge.
     """
-    ah = _rfft(grid, np.stack(a))
+    ah = _rfft(grid, a)
     theta = -_irfft(grid, sum(p * ak for p, ak in zip(grid.half_poisson_ik, ah)))
     return (*gauge_transform(grid, q, a, theta), theta)
 
 
-def remove_mean_connection(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple, np.ndarray]:
+def remove_mean_connection(grid: Grid, q: np.ndarray,
+                           a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge away the constant (harmonic) part of the spatial connection.
 
     On the torus the Coulomb condition fixes a only up to constants; this
@@ -117,11 +118,10 @@ def remove_mean_connection(grid: Grid, q: tuple, a: tuple) -> tuple[tuple, tuple
         shape = [1] * grid.dim
         shape[axis] = grid.n[axis]
         theta = theta - m * grid.axis_coord(axis).reshape(shape)
-    phase = np.exp(-1j * theta)
-    return tuple(phase * qk for qk in q), tuple(ak - m for ak, m in zip(a, means)), theta
+    return np.exp(-1j * theta) * q, a - np.reshape(means, (-1,) + (1,) * grid.dim), theta
 
 
-def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> tuple:
+def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> np.ndarray:
     """Radial-transport (exponential) gauge from the curvature two-form.
 
     Reconstructs a_k(x) = int_0^1 x^l F_lk(s x) s ds about the box center,
@@ -149,7 +149,7 @@ def exponential_gauge_connection(grid: Grid, f12: np.ndarray) -> tuple:
     for s, w in zip(*_ray_quadrature(max(grid.n) + 32)):
         radial += w * s * (modes(0, s) @ fh @ modes(1, s).T).real
     x1, x2 = grid.coords()
-    return (-x2 * radial, x1 * radial)
+    return np.array([-x2 * radial, x1 * radial])
 
 
 def _ray_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +158,7 @@ def _ray_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s + 1.0), 0.5 * w
 
 
-def exponential_gauge_curl_residual(grid: Grid, a: tuple, f12: np.ndarray) -> float:
+def exponential_gauge_curl_residual(grid: Grid, a: np.ndarray, f12: np.ndarray) -> float:
     """max |curl a - f12| over the central half of the box (per axis).
 
     The radial-transport connection decays only like 1/|x| and is not
@@ -177,11 +177,11 @@ def exponential_gauge_curl_residual(grid: Grid, a: tuple, f12: np.ndarray) -> fl
     return float(np.max(np.abs((curl - f12)[interior])))
 
 
-def compatibility_residual(target: geo.Target, grid: Grid, q: tuple,
-                           a: tuple) -> tuple[float, float, float]:
+def compatibility_residual(target: geo.Target, grid: Grid, q: np.ndarray,
+                           a: np.ndarray) -> tuple[float, float, float]:
     """Measure how far (q, a) is from being realizable as frame coordinates:
     the max-norm residuals (div a, D_k q_l - D_l q_k, curl a - f), in that order."""
-    da = gradient(grid, np.stack(a, axis=-1))  # da[l, ..., k] = d_l a_k
+    da = gradient(grid, np.moveaxis(a, 0, -1))  # da[l, ..., k] = d_l a_k
     r1 = float(np.max(np.abs(np.trace(da, axis1=0, axis2=-1))))  # div a
     r2 = r3 = 0.0
     for l in range(grid.dim):

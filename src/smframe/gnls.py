@@ -12,13 +12,14 @@ with mu = i for the Schroedinger flow and mu = 1 / (eps - i)
 = (eps + i) / (1 + eps^2) for its parabolic perturbation.  Both flows derive
 (q_0, a, a_0) and the right-hand side in one pass (`_derive`): in the Coulomb
 gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
-of each q_l gives every d_k q_l, Delta q_l is applied on the spectrum inside
+of q gives every d_k q_l, Delta q_l is applied on the spectrum inside
 the 2/3-rule truncation, and a, a_0 are products of half spectra with the
 cached Delta^-1 d_k; in 1D, where a = f = 0, no term they multiply is formed.
 `_derive` hands back the spectra of the right-hand side: `GnlsState` memoizes
 its pass with them transformed back, which `fields()` and `gnls_rhs` both read,
-and the parabolic step keeps them as they are.  `fields()` returns the plain
-tuple (q_0, a, a_0), a with one array per axis.
+and the parabolic step keeps them as they are.  q, a, the right-hand side and
+their spectra are arrays of shape (d, *grid.shape), components first, and
+`fields()` returns the plain tuple (q_0, a, a_0).
 
 The connection is never evolved: every stage recomputes a_j from q by the
 elliptic solve, so the Coulomb constraint is exact and any compatibility
@@ -65,15 +66,11 @@ def nls1d_step(grid: Grid, q: np.ndarray, dt: float, kappa: int) -> np.ndarray:
     pointwise/Fourier isometry, so the discrete mass sum |q|^2 is
     conserved to round-off.
     """
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
     q = _nls1d_strang(grid, q, _W1 * dt, kappa)
     q = _nls1d_strang(grid, q, _W0 * dt, kappa)
     return _nls1d_strang(grid, q, _W1 * dt, kappa)
-
-
-def nls1d_mass(grid: Grid, q: np.ndarray) -> float:
-    return 0.5 * integrate(grid, np.abs(q) ** 2)
 
 
 def nls1d_energy(grid: Grid, q: np.ndarray, kappa: int) -> float:
@@ -85,33 +82,31 @@ def nls1d_energy(grid: Grid, q: np.ndarray, kappa: int) -> float:
 # Coulomb-gauge state and elliptic solves
 # ---------------------------------------------------------------------------
 
-def connection_from_coordinates(target: geo.Target, grid: Grid,
-                                q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def connection_from_coordinates(target: geo.Target, grid: Grid, q: np.ndarray) -> np.ndarray:
     """Spatial Coulomb connection: Delta a_j = d_k f_kj, mean zero, solved on
     the spectrum of f_12.  In 1D the curvature two-form vanishes and a_1 = 0."""
     if grid.dim == 1:
-        return (np.zeros(grid.shape),)
+        return np.zeros(q.shape)
     fh = _rfft(grid, geo.curvature_f(target, q[0], q[1]))
     p1, p2 = grid.half_poisson_ik
-    return (_irfft(grid, -p2 * fh), _irfft(grid, p1 * fh))
+    return _irfft(grid, np.array([-p2 * fh, p1 * fh]))
 
 
-def a0_from_q0(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...],
-               q0: np.ndarray) -> np.ndarray:
+def a0_from_q0(target: geo.Target, grid: Grid, q: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Solve Delta a_0 = d_l f_l0 with f_l0 = kappa <q_l, i q_0>, corner-anchored."""
-    a0 = _irfft(grid, sum(p * _rfft(grid, geo.curvature_f(target, ql, q0))
-                          for p, ql in zip(grid.half_poisson_ik, q)))
+    fh = _rfft(grid, geo.curvature_f(target, q, q0))
+    a0 = _irfft(grid, sum(p * fl for p, fl in zip(grid.half_poisson_ik, fh)))
     return a0 - a0[(0,) * grid.dim]  # vanishes at the box corner (index 0...0)
 
 
-def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: complex,
-            lap: complex, rhs: bool = True):
+def _derive(target: geo.Target, grid: Grid, q: np.ndarray, mu: complex, lap: complex,
+            rhs: bool = True):
     """(q_0, a, a_0, spectra): q_0 = mu D_k q_k, the Coulomb connection (a, a_0), and the
-    list of the full spectra of dq_l/dt less (mu - lap) Delta q_l, 2/3-rule truncated, where
+    full spectra of dq_l/dt less (mu - lap) Delta q_l, 2/3-rule truncated, where
     dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l.
     With rhs=False just (q_0, a, a_0), bitwise the same, from the d_l q_l alone."""
     a = connection_from_coordinates(target, grid, q)
-    qh = [_fft(grid, ql) for ql in q]
+    qh = _fft(grid, q)
     r, q0 = [], 0.0  # q0 sums D_k q_k until scaled by mu
     for l, ql in enumerate(q):
         rl = 0.0  # 2 a_k d_k q_l + f_lk q_k
@@ -133,16 +128,14 @@ def _derive(target: geo.Target, grid: Grid, q: tuple[np.ndarray, ...], mu: compl
     if not rhs:
         return q0, a, a0
     c = 1j * a0 if grid.dim == 1 else mu * sum(ak * ak for ak in a) + 1j * a0
-    spectra = []
-    for ql in q:  # r_l and the spectrum of q_l are freed once used
-        rl, spectrum = r.pop(0), qh.pop(0)
+    for ql, spectrum in zip(q, qh):  # the spectrum of q_l becomes that of dq_l/dt
+        rl = r.pop(0)  # freed once used
         rl *= 1j * mu
         rl -= c * ql
         spectrum *= -lap * grid.k_squared
         spectrum += _fft(grid, rl)
         spectrum *= grid.dealias_mask
-        spectra.append(spectrum)
-    return q0, a, a0, spectra
+    return q0, a, a0, qh
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,7 @@ class GnlsState:
     grid: Grid
     target: geo.Target
     time: float
-    q: tuple[np.ndarray, ...]
+    q: np.ndarray
 
     def fields(self) -> tuple:
         """(q_0 = i D_k q_k, a, a_0): the time coordinate and the Coulomb connection,
@@ -165,7 +158,7 @@ class GnlsState:
     @cached_property
     def _fields(self) -> tuple:
         q0, a, a0, spectra = _derive(self.target, self.grid, self.q, 1j, 1j)
-        dq_dt = _stack([_ifft(self.grid, spectrum) for spectrum in spectra])
+        dq_dt = _ifft(self.grid, spectra)
         dq_dt.flags.writeable = False
         return q0, a, a0, dq_dt
 
@@ -190,21 +183,12 @@ def gnls_seed_from_map(target: geo.Target, grid: Grid,
     return state, rotate_frame(target, u, e, theta + ramp)
 
 
-def _stack(q) -> np.ndarray:
-    """q_l on a trailing axis, each one contiguous in memory (per-field FFTs)."""
-    return np.array(q).transpose(*range(1, q[0].ndim + 1), 0)
-
-
-def _unstack(y: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(y[..., l] for l in range(y.shape[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Schroedinger evolution
 # ---------------------------------------------------------------------------
 
 def gnls_rhs(state: GnlsState) -> np.ndarray:
-    """Right-hand side dq_l/dt of the Coulomb-gauge system, components last,
+    """Right-hand side dq_l/dt of the Coulomb-gauge system, shaped like q,
     2/3-rule truncated; the state's memo, so read-only."""
     return state._fields[3]
 
@@ -215,10 +199,9 @@ def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> Gnls
     check_cfl(state.grid, dt)
 
     def f(s, y):
-        return gnls_rhs(GnlsState(state.grid, state.target, state.time, _unstack(y)))
+        return gnls_rhs(GnlsState(state.grid, state.target, state.time, y))
 
-    qn = rk4(f, _stack(state.q), dt, k1)
-    return replace(state, time=state.time + dt, q=_unstack(qn))
+    return replace(state, time=state.time + dt, q=rk4(f, state.q, dt, k1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +218,8 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
     E = 1/2 int sum |q_l|^2 must not increase across a step; this is
     asserted because an increase means the dissipation structure broke.
     """
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
     if not 0.0 < epsilon <= 1.0:
         raise InvalidStep(f"epsilon must lie in (0, 1], got {epsilon}")
     tg, grid = state.target, state.grid
@@ -244,11 +227,11 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
 
     def nonlinear(qh):
         # the spectra of the right-hand side less mu Lap q_l, dealiased
-        return np.array(_derive(tg, grid, tuple(_ifft(grid, qh)), mu, 0.0)[3])
+        return _derive(tg, grid, _ifft(grid, qh), mu, 0.0)[3]
 
     q = state.q
-    qh = lawson_heun(_fft(grid, np.array(q)), dt, np.exp(-mu * grid.k_squared * dt), nonlinear)
-    qn = tuple(_ifft(grid, qh))
+    qh = lawson_heun(_fft(grid, q), dt, np.exp(-mu * grid.k_squared * dt), nonlinear)
+    qn = _ifft(grid, qh)
 
     if tg.kind == "hyperbolic":
         e_old = sum(integrate(grid, np.abs(qi) ** 2) for qi in q)

@@ -1,7 +1,7 @@
 """Rebuilding the map and frame from gauge-side trajectories.
 
 The inverse direction of the correspondence: given (q, a) on a time slab,
-each a tuple of arrays with one per axis, plus one base point (m, v0),
+each an array of shape (d, *grid.shape), plus one base point (m, v0),
 integrate
 
     d u = Re(q) e + Im(q) Je
@@ -36,7 +36,7 @@ from .direct import flux_divergence
 from .errors import FrameInvalid, InvalidStep
 from .field import Grid, march
 from .gauge import validate_frame
-from .gnls import GnlsState, _derive, _stack, _unstack, gnls_rhs, gnls_step
+from .gnls import GnlsState, _derive, gnls_rhs, gnls_step
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def _sweep(target: geo.Target, h: float, qs: np.ndarray, as_: np.ndarray,
     return frames, float(np.max(gap.sum(axis=-1)))
 
 
-def initial_data_sweep(target: geo.Target, grid: Grid, q: tuple, a: tuple,
+def initial_data_sweep(target: geo.Target, grid: Grid, q: np.ndarray, a: np.ndarray,
                        m: np.ndarray, v0: np.ndarray) -> MapFrameState:
     """Build (u, e) at one time slice from (q, a) by axis-ordered sweeps.
 
@@ -212,8 +212,8 @@ def time_evolve_point(target: geo.Target, u: np.ndarray, e: np.ndarray,
 
     `stages` holds the (q0, a0) field pairs at t, t + dt/2 and t + dt.
     """
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
     kappa = target.kappa
     frame = np.stack([u, e, geo.j_apply(target, u, e)], axis=-1)  # columns u, e, Je
     # only the new u and e columns are kept; Je is rebuilt from them
@@ -230,8 +230,8 @@ def _gnls_stages(s0: GnlsState, dt: float) -> tuple[GnlsState, list]:
     s1 = gnls_step(s0, dt, k1=f0)
     f1 = gnls_rhs(s1)
     # q(t + dt/2) of the cubic Hermite interpolant, 4th-order accurate
-    q_mid = 0.5 * (_stack(s0.q) + _stack(s1.q)) + (dt / 8.0) * (f0 - f1)
-    mid = _derive(s0.target, s0.grid, _unstack(q_mid), 1j, 1j, rhs=False)
+    q_mid = 0.5 * (s0.q + s1.q) + (dt / 8.0) * (f0 - f1)
+    mid = _derive(s0.target, s0.grid, q_mid, 1j, 1j, rhs=False)
     return s1, [(q0, a0) for q0, _, a0 in (s0.fields(), mid, s1.fields())]
 
 

@@ -131,13 +131,13 @@ def _nls1d(cfg: RunConfig) -> Plan:
 
     def advance(s: gnls.GnlsState) -> gnls.GnlsState:
         q = gnls.nls1d_step(grid, s.q[0], cfg.dt, kappa)
-        return gnls.GnlsState(grid, cfg.target, s.time + cfg.dt, (q,))
+        return gnls.GnlsState(grid, cfg.target, s.time + cfg.dt, q[np.newaxis])
 
     def row(s: gnls.GnlsState) -> diag.DiagnosticsRow:
-        return diag.DiagnosticsRow(time=s.time, mass=gnls.nls1d_mass(grid, s.q[0]),
+        return diag.DiagnosticsRow(time=s.time, mass=gnls.gnls_mass(s),
                                    energy=gnls.nls1d_energy(grid, s.q[0], kappa))
 
-    state = gnls.GnlsState(grid, cfg.target, 0.0, (_initial(cfg, "q"),))
+    state = gnls.GnlsState(grid, cfg.target, 0.0, _initial(cfg, "q")[np.newaxis])
     return Plan(march(state, advance, cfg.n_steps, cfg.snapshot_every), row,
                 lambda s: {"q": s.q[0]}, None, None)
 
@@ -184,7 +184,7 @@ def _reconstruct(cfg: RunConfig) -> Plan:
         if cfg.grid.dim != 1 or cfg.target != SPHERE:
             raise ConfigError("initial.preset",
                               "field presets reconstruct 1D sphere maps only")
-        start = gnls.GnlsState(cfg.grid, cfg.target, 0.0, (_initial(cfg, "q"),))
+        start = gnls.GnlsState(cfg.grid, cfg.target, 0.0, _initial(cfg, "q")[np.newaxis])
     else:
         start, _ = gnls.gnls_seed_from_map(cfg.target, cfg.grid, _initial(cfg, "u"))
     states = reconstruct_trajectory(start, cfg.dt, cfg.base_m, cfg.base_v0, cfg.n_steps,
@@ -302,5 +302,5 @@ def diagnose_snapshot(path) -> diag.DiagnosticsRow:
     if qnames:
         row.mass = gnls.gnls_mass(gnls.GnlsState(
             grid=snap.grid, target=snap.target, time=snap.time,
-            q=tuple(_snapshot_field(snap, n) for n in qnames)))
+            q=np.array([_snapshot_field(snap, n) for n in qnames])))
     return row

@@ -7,7 +7,7 @@ import numpy as np
 from smframe import geometry as geo
 from smframe.direct import dirichlet_density, flux_divergence
 from smframe.field import _fft, _ifft, _irfft, _rfft, rk4, roll_axes, spectral_derivative
-from smframe.gnls import _derive, _stack, _unstack
+from smframe.gnls import _derive
 
 
 def _wavenumbers(grid, axis):
@@ -84,12 +84,13 @@ def parabolic_sm_step(state, dt, epsilon):
 
 def parabolic_gnls_step(state, dt, epsilon):
     """`lawson_heun` of the parabolic Coulomb-gauge system on grid values,
-    each stage the program's nonlinearity transformed back."""
+    each stage the program's nonlinearity transformed back; the components
+    of q move last for `lawson_heun` and back first for the state."""
     tg, grid = state.target, state.grid
     mu = (epsilon + 1j) / (1.0 + epsilon**2)
 
     def nonlinear(y):
-        return _stack([_ifft(grid, s) for s in _derive(tg, grid, _unstack(y), mu, 0.0)[3]])
+        return np.moveaxis(_ifft(grid, _derive(tg, grid, np.moveaxis(y, -1, 0), mu, 0.0)[3]), 0, -1)
 
-    q = _unstack(lawson_heun(grid, _stack(state.q), dt, mu, nonlinear))
-    return replace(state, time=state.time + dt, q=q)
+    q = lawson_heun(grid, np.moveaxis(state.q, 0, -1), dt, mu, nonlinear)
+    return replace(state, time=state.time + dt, q=np.moveaxis(q, -1, 0))

@@ -20,7 +20,7 @@ from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb
                            exponential_gauge_curl_residual,
                            extract_coordinates, gauge_transform, rotate_frame)
 from smframe.gnls import (GnlsState, connection_from_coordinates, gnls_dissipation,
-                          gnls_mass, gnls_seed_from_map, gnls_step, nls1d_mass,
+                          gnls_mass, gnls_seed_from_map, gnls_step,
                           nls1d_step, parabolic_gnls_step)
 from smframe.reconstruct import initial_data_sweep, reconstruct_trajectory, sm_residual
 
@@ -36,14 +36,14 @@ def _report(num: int, name: str, ok: bool, detail: str) -> bool:
 def test_criterion_01_soliton_fidelity():
     g = Grid((1024,), (40 * np.pi,))
     q = presets.soliton(g, 2.0)
-    m0 = nls1d_mass(g, q)
+    m0 = gnls_mass(GnlsState(g, geo.SPHERE, 0.0, q[np.newaxis]))
     dt, n_steps = 1e-3, 1000
     for _ in range(n_steps):
         q = nls1d_step(g, q, dt, 1)
     exact = presets.soliton(g, 2.0) * np.exp(1j * n_steps * dt)
     l2_err = float(np.sqrt(integrate(g, np.abs(q - exact) ** 2)))
     # relative drift: roundoff accumulation scales with the mass itself
-    mass_drift = abs(nls1d_mass(g, q) - m0) / m0
+    mass_drift = abs(gnls_mass(GnlsState(g, geo.SPHERE, 0.0, q[np.newaxis])) - m0) / m0
     ok = l2_err < 1e-6 and mass_drift < 1e-12
     assert _report(1, "soliton-fidelity", ok,
                    f"L2 err {l2_err:.2e} < 1e-6, "
@@ -54,7 +54,7 @@ def test_criterion_01_soliton_fidelity():
 
 def _soliton_state(g: Grid) -> GnlsState:
     # in 1D the Coulomb-gauge GNLS (a_1 = 0) is the cubic NLS
-    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=(presets.soliton(g, 2.0),))
+    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=presets.soliton(g, 2.0)[np.newaxis])
 
 
 def _soliton_reconstruction_residual(n: int, dt: float, t_end: float) -> float:
@@ -132,7 +132,7 @@ def test_criterion_05_parabolic_energy_identity():
     eps, dt = 0.1, 1e-4
     nu = eps / (1.0 + eps**2)
     state = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0,
-                      q=(presets.random_bandlimited(g, 6, 0.3, 11),))
+                      q=presets.random_bandlimited(g, 6, 0.3, 11)[np.newaxis])
     worst_rel = 0.0
     monotone = True
     for _ in range(50):

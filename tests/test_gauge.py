@@ -98,8 +98,8 @@ def _bandlimited_gauge_data(draw):
             g, kmax=draw(hst.integers(1, 8)), amplitude=amplitude,
             seed=draw(hst.integers(0, 2**32 - 1)))
 
-    q = tuple(field(1.0) for _ in range(dim))
-    a = tuple(field(1.0).real for _ in range(dim))
+    q = np.array([field(1.0) for _ in range(dim)])
+    a = np.array([field(1.0).real for _ in range(dim)])
     amplitudes = hst.floats(0.0, 5.0)
     th1, th2 = field(draw(amplitudes)).real, field(draw(amplitudes)).real
     return g, q, a, th1, th2
@@ -136,7 +136,7 @@ def test_covariant_derivative_transforms_covariantly():
     # a doubled connection keeps them away from zero (1.2e-2 and 3.6e-2)
     g, u, e = _bump_setup()
     q, a = extract_coordinates(geo.SPHERE, g, u, e)
-    a = tuple(2.0 * ak for ak in a)
+    a = 2.0 * a
     x1, _ = g.coords()
     theta = 0.4 * np.sin(x1 / 4.0)
     _, sym, curl = compatibility_residual(geo.SPHERE, g, q, a)
@@ -168,8 +168,9 @@ def test_coulomb_fix_divergence_free_and_idempotent():
 def test_coulomb_fix_angle_solves_poisson_equation(dim, n, length, kmax, amplitude, seed):
     # Delta theta = -d_k a_k, solved on the full spectrum of the divergence
     g = Grid((n,) * dim, (length,) * dim)
-    a = tuple(presets.random_bandlimited(g, kmax, amplitude, seed + k).real for k in range(dim))
-    q = tuple(np.ones(g.shape, complex) for _ in range(dim))
+    a = np.array([presets.random_bandlimited(g, kmax, amplitude, seed + k).real
+                  for k in range(dim)])
+    q = np.ones((dim,) + g.shape, complex)
     _, _, theta = coulomb_fix(g, q, a)
     expect = -complex_poisson(g, sum(complex_derivative(g, ak, k) for k, ak in enumerate(a)))
     assert np.max(np.abs(theta - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -213,7 +214,7 @@ def test_parallel_gauge_zeroes_connection_and_warns_on_holonomy():
     assert np.max(np.abs(np.abs(qp[0]) - np.abs(q[0]))) < 1e-12
     assert np.max(np.abs(qp[0] - np.exp(-1j * theta) * q[0])) < 1e-12
 
-    qb, ab, _ = coulomb_fix(g, q, (a[0] + 0.3,))
+    qb, ab, _ = coulomb_fix(g, q, a + 0.3)
     with pytest.warns(MeanHolonomy):
         remove_mean_connection(g, qb, ab)
 
@@ -276,11 +277,11 @@ def test_real_kernels_match_per_axis_derivatives_on_random_frames(
     e = best_reference_frame(target, u)
     q, a = extract_coordinates(target, g, u, e)
     q_axis, a_axis = _per_axis_coordinates(target, g, u, e)
-    for got, want in zip(q + a, q_axis + a_axis):
+    for got, want in zip((*q, *a), q_axis + a_axis):
         assert np.max(np.abs(got - want)) < 1e-12
     # a doubled connection keeps every residual away from zero
     doubled = [2.0 * ak for ak in a_axis]
-    rep = compatibility_residual(target, g, q, tuple(doubled))
+    rep = compatibility_residual(target, g, q, np.array(doubled))
     want = _per_axis_residual(target, g, q_axis, doubled)
     assert np.max(np.abs(np.subtract(rep, want))) < 1e-12
 
@@ -292,7 +293,7 @@ def test_compatibility_residual_small_for_extracted_data():
     q, a, _ = remove_mean_connection(g, q, a)
     assert max(compatibility_residual(geo.SPHERE, g, q, a)) < 1e-6
     # breaking the pair breaks the dq-symmetry residual
-    _, sym, _ = compatibility_residual(geo.SPHERE, g, (q[0], 2.0 * q[1]), a)
+    _, sym, _ = compatibility_residual(geo.SPHERE, g, np.array([q[0], 2.0 * q[1]]), a)
     assert sym > 1e-3
 
 

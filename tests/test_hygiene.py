@@ -4,9 +4,10 @@ Every import in the package modules is used (`__init__.py` is skipped: its
 imports are the package's re-exports) and comes from the standard library,
 NumPy or the package itself; the map side (`direct.py`) imports no
 gauge-side module; every defaulted parameter of a package function is
-set by some call in `src/`, `tests/` or `perfbench/`; and every name in
+set by some call in `src/`, `tests/` or `perfbench/`; every name in
 `smframe.__all__` is named in one of those trees outside the module that
-defines it (and the package's re-exports).
+defines it (and the package's re-exports); and the package modules stay
+within a line budget.
 """
 
 import ast
@@ -159,3 +160,13 @@ def test_every_public_name_is_used_outside_its_module():
               if not any(name in _identifiers(tree) for path, tree in trees.items()
                          if path != SRC / "__init__.py" and not _defines(path, tree, name))]
     assert unused == []
+
+
+#: the "less code" gate of ROADMAP.md: lines of src/smframe/*.py, obs.py left out
+SRC_LINE_BUDGET = 2400
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")
+                if path.name != "obs.py")
+    assert lines <= SRC_LINE_BUDGET

@@ -26,7 +26,7 @@ def test_base_point_validation():
     g = Grid((16,), (2 * np.pi,))
 
     def sweep(m, v0):
-        return initial_data_sweep(geo.SPHERE, g, (np.zeros(16, complex),), (np.zeros(16),),
+        return initial_data_sweep(geo.SPHERE, g, np.zeros((1, 16), complex), np.zeros((1, 16)),
                                   np.array(m), np.array(v0))
 
     sweep([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -40,7 +40,7 @@ def test_base_point_validation():
 
 def test_zero_data_gives_constant_map():
     g = Grid((64,), (2 * np.pi,))
-    st = initial_data_sweep(geo.SPHERE, g, (np.zeros(64, complex),), (np.zeros(64),),
+    st = initial_data_sweep(geo.SPHERE, g, np.zeros((1, 64), complex), np.zeros((1, 64)),
                             NORTH, EAST)
     assert np.max(np.abs(st.u - NORTH)) < 1e-14
     assert np.max(np.abs(st.e - EAST)) < 1e-14
@@ -240,7 +240,7 @@ def test_time_evolve_point_rejects_bad_step():
 
 
 def _soliton_state(g):
-    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=(presets.soliton(g, 2.0),))
+    return GnlsState(grid=g, target=geo.SPHERE, time=0.0, q=presets.soliton(g, 2.0)[np.newaxis])
 
 
 def _soliton_run(g, m, v0, n_steps, dt):
