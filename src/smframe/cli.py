@@ -1,7 +1,6 @@
 """Command-line front-end.
 
     smframe run <config.cfg> [--output DIR] [--verbose]
-    smframe roundtrip <config.cfg> [--output DIR] [--verbose]
     smframe diagnose <snapshot.smfs>
     smframe version
 
@@ -55,16 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and their gauge-side systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_like(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config_path", nargs="?", help="INI run configuration")
-        p.add_argument("--config", dest="config_flag", help="INI run configuration")
-        p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--verbose", action="store_true")
-        return p
-
-    add_run_like("run", "execute a configured experiment")
-    add_run_like("roundtrip", "direct-flow vs reconstruction comparison")
+    pr = sub.add_parser("run", help="execute a configured experiment")
+    pr.add_argument("config_path", help="INI run configuration")
+    pr.add_argument("--output", help="output directory (overrides config)")
+    pr.add_argument("--verbose", action="store_true")
 
     pd = sub.add_parser("diagnose", help="recompute functionals from a snapshot")
     pd.add_argument("snapshot", help="path to a .smfs state snapshot")
@@ -73,19 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args, force_experiment: str | None = None) -> int:
-    path = args.config_flag or args.config_path
-    if not path:
-        print("error: no config given (positional or --config)", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = load_config(path)
-    if force_experiment and cfg.experiment != force_experiment:
-        raise ConfigError("run.experiment",
-                          f"subcommand expects {force_experiment!r}, "
-                          f"config says {cfg.experiment!r}")
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config_path)
     from .runner import execute
     _keep_freed_memory()
-    outdir = execute(cfg, Path(path).read_text(), args.output)
+    outdir = execute(cfg, Path(args.config_path).read_text(), args.output)
     if args.verbose:
         print(f"run {cfg.run_id!r} finished; outputs in {outdir}", file=sys.stderr)
     return EXIT_OK
@@ -105,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "roundtrip":
-            return _cmd_run(args, force_experiment="roundtrip")
         if args.command == "diagnose":
             return _cmd_diagnose(args)
         if args.command == "version":

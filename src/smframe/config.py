@@ -10,7 +10,6 @@ Layout::
     t_end = 1.0
     snapshot_every = 100      ; steps between logged rows; divides t_end / dt
     epsilon = 0.1             ; required iff the experiment is parabolic
-    seed = 0
     output = out
     run_id = soliton          ; optional; defaults to the experiment name
 
@@ -20,7 +19,7 @@ Layout::
 
     [initial]
     preset = soliton          ; or  snapshot = state.smfs, with no other key
-    b = 2.0                   ; remaining keys are preset parameters
+    b = 2.0                   ; remaining keys are preset parameters, seed included
 
     [base]                    ; read by reconstruct only, accepted by every run
     m = 1, 0, 0
@@ -46,8 +45,8 @@ EXPERIMENTS = ("nls1d", "gnls", "parabolic-gnls", "direct-sm",
                "parabolic-sm", "reconstruct", "roundtrip")
 _PARABOLIC = ("parabolic-gnls", "parabolic-sm")
 #: section -> its keys; [initial] takes `snapshot` alone, or `preset` and its parameters
-_KEYS = {"run": ("experiment", "target", "dt", "t_end", "snapshot_every", "epsilon", "seed",
-                "output", "run_id"),
+_KEYS = {"run": ("experiment", "target", "dt", "t_end", "snapshot_every", "epsilon", "output",
+                "run_id"),
         "grid": ("n", "length"), "initial": ("snapshot",), "base": ("m", "v0")}
 #: most time steps a run may take; over 1,000 times any run of the tests and examples
 MAX_STEPS = 10**8
@@ -63,7 +62,6 @@ class RunConfig:
     snapshot_every: int
     output: str
     run_id: str
-    seed: int = 0
     epsilon: float | None = None
     preset: str | None = None
     preset_params: dict[str, float] = dc_field(default_factory=dict)
@@ -147,9 +145,10 @@ def load_config(path) -> RunConfig:
     epsilon = None
     if experiment in _PARABOLIC:
         epsilon = _get(run, "epsilon", float, "run.epsilon")
-        upper = 1.0 if experiment == "parabolic-gnls" else math.inf  # parabolic_gnls_step's range
-        if not 0 < epsilon <= upper:
-            raise ConfigError("run.epsilon", f"must lie in (0, {upper:g}], got {epsilon}")
+        upper = 1.0 if experiment == "parabolic-gnls" else math.inf  # the steppers' ranges
+        if not 0 < epsilon < math.inf or epsilon > upper:
+            bound = ", at most 1" if upper < math.inf else ""
+            raise ConfigError("run.epsilon", f"must be finite and positive{bound}, got {epsilon}")
     elif "epsilon" in run:
         raise ConfigError("run.epsilon",
                           f"only parabolic experiments take epsilon, not {experiment}")
@@ -194,6 +193,5 @@ def load_config(path) -> RunConfig:
         snapshot_every=snapshot_every,
         output=_get(run, "output", str, "run.output", default="."),
         run_id=_get(run, "run_id", str, "run.run_id", default=experiment),
-        seed=_get(run, "seed", int, "run.seed", default=0),
         epsilon=epsilon, preset=preset, preset_params=preset_params,
         snapshot_path=snapshot_path, base_m=base_m, base_v0=base_v0)

@@ -86,7 +86,7 @@ def heisenberg_step(state: MapState, dt: float) -> MapState:
 
     def advance(u, h):
         uh = _rfft(grid, roll_axes(u, 0, grid.dim))
-        uh = rk4(lambda s, vh: _flux_hat(tg, grid, vh)[2], uh, h)
+        uh = rk4(lambda vh: _flux_hat(tg, grid, vh)[2], uh, h)
         return geo.retract(tg, roll_axes(_irfft(grid, uh), 0, -grid.dim))
 
     try:

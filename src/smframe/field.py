@@ -191,14 +191,13 @@ def check_cfl(grid: Grid, dt: float) -> None:
 
 
 def rk4(f, y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(s, y), where s in {0, 1/2, 1} is
-    the stage time as a fraction of h (for coefficients sampled in time); a
-    given k1 stands in for f(0, y)."""
+    """One classical RK4 step of the autonomous dy/dt = f(y); a given k1
+    stands in for f(y)."""
     if k1 is None:
-        k1 = f(0.0, y)
-    k2 = f(0.5, y + 0.5 * h * k1)
-    k3 = f(0.5, y + 0.5 * h * k2)
-    k4 = f(1.0, y + h * k3)
+        k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 

@@ -66,6 +66,8 @@ def nls1d_step(grid: Grid, q: np.ndarray, dt: float, kappa: int) -> np.ndarray:
     pointwise/Fourier isometry, so the discrete mass sum |q|^2 is
     conserved to round-off.
     """
+    if grid.dim != 1:
+        raise ValueError(f"nls1d_step needs a 1D grid, got {grid.n}")
     if not 0 < dt < np.inf:
         raise InvalidStep(f"dt must be positive and finite, got {dt}")
     q = _nls1d_strang(grid, q, _W1 * dt, kappa)
@@ -198,7 +200,7 @@ def gnls_step(state: GnlsState, dt: float, k1: np.ndarray | None = None) -> Gnls
     A given k1 must equal gnls_rhs(state), e.g. from the step that ended there."""
     check_cfl(state.grid, dt)
 
-    def f(s, y):
+    def f(y):
         return gnls_rhs(GnlsState(state.grid, state.target, state.time, y))
 
     return replace(state, time=state.time + dt, q=rk4(f, state.q, dt, k1))

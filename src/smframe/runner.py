@@ -50,9 +50,9 @@ ENERGY_DRIFT = 1e-3
 
 def _preset_kwargs(cfg: RunConfig, preset) -> dict:
     """[initial] parameters checked against the preset's signature; integer
-    parameters take integral values, and `seed` defaults to the run seed."""
+    parameters take integral values."""
     params = inspect.signature(preset, eval_str=True).parameters
-    kwargs = {"seed": cfg.seed} if "seed" in params else {}
+    kwargs = {}
     for key, value in cfg.preset_params.items():
         if key == "grid" or key not in params:
             raise ConfigError(f"initial.{key}",
@@ -128,6 +128,8 @@ def _march(cfg: RunConfig, state, step) -> Iterator:
 
 def _nls1d(cfg: RunConfig) -> Plan:
     grid, kappa = cfg.grid, cfg.target.kappa
+    if grid.dim != 1:
+        raise ConfigError("grid.n", f"nls1d runs on a 1D grid, not {grid.n}")
 
     def advance(s: gnls.GnlsState) -> gnls.GnlsState:
         q = gnls.nls1d_step(grid, s.q[0], cfg.dt, kappa)

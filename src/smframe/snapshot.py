@@ -32,6 +32,8 @@ VERSION = 1
 
 _KIND_CODE = {"sphere": 0, "hyperbolic": 1}
 _CODE_KIND = {0: SPHERE, 1: HYPERBOLIC}
+#: element kind -> payload dtype; a complex point is its (re, im) f64 pair
+_DTYPE = {0: "<f8", 1: "<c16", 2: "<f8"}
 
 
 @dataclass
@@ -71,13 +73,7 @@ def write_snapshot(path, grid: Grid, target: Target, time: float,
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", kind))
-            if kind == 1:
-                payload = np.empty(grid.shape + (2,))
-                payload[..., 0] = arr.real
-                payload[..., 1] = arr.imag
-            else:
-                payload = arr.astype(float)
-            fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE[kind]).tobytes())
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -133,13 +129,7 @@ def read_snapshot(path) -> Snapshot:
             if need > left:
                 raise FormatError(f"grid sizes {n} need {need} bytes for '{name}', "
                                   f"the file holds {left} more", 10)
-            raw = _read_exact(fh, 8 * per_point * npoints, f"payload of '{name}'")
-            flat = np.frombuffer(raw, dtype="<f8")
-            if kind == 0:
-                fields[name] = flat.reshape(grid.shape).copy()
-            elif kind == 1:
-                pairs = flat.reshape(grid.shape + (2,))
-                fields[name] = pairs[..., 0] + 1j * pairs[..., 1]
-            else:
-                fields[name] = flat.reshape(grid.shape + (3,)).copy()
+            raw = _read_exact(fh, need, f"payload of '{name}'")
+            shape = grid.shape + ((3,) if kind == 2 else ())
+            fields[name] = np.frombuffer(raw, dtype=_DTYPE[kind]).reshape(shape).copy()
         return Snapshot(grid=grid, target=_CODE_KIND[kind_code], time=time, fields=fields)

@@ -45,7 +45,7 @@ def heisenberg_step(state, dt):
     """RK4 of du/dt = d_k J(u x d_k u) on grid values, each stage from
     `flux_divergence`, then a retraction (no retry)."""
     tg, grid = state.target, state.grid
-    u = geo.retract(tg, rk4(lambda s, v: flux_divergence(tg, grid, v), state.u, dt))
+    u = geo.retract(tg, rk4(lambda v: flux_divergence(tg, grid, v), state.u, dt))
     return replace(state, time=state.time + dt, u=u)
 
 

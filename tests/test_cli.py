@@ -166,11 +166,6 @@ def test_run_produces_outputs(tmp_path, capsys):
     assert "q" in snap.fields
 
 
-def test_run_accepts_config_flag(tmp_path):
-    cfg = _write(tmp_path, NLS1D_CFG)
-    assert main(["run", "--config", cfg, "--output", str(tmp_path)]) == 0
-
-
 def test_invalid_dt_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, NLS1D_CFG.replace("dt = 1e-3", "dt = 0"))
     assert main(["run", cfg]) == 2
@@ -231,8 +226,19 @@ def test_epsilon_rejected_outside_parabolic_runs(tmp_path, capsys):
 
 
 def test_missing_config_paths(tmp_path, capsys):
-    assert main(["run"]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse: the config path is required
+        main(["run"])
+    assert exc.value.code == 2
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["roundtrip", "x.cfg"], ["run", "--config", "x.cfg"],
+                                  ["run", "x.cfg", "--config", "y.cfg"]],
+                         ids=["roundtrip", "config-flag", "path-and-config-flag"])
+def test_run_is_the_one_way_to_start_a_run(capsys, argv):
+    with pytest.raises(SystemExit) as exc:  # argparse, before any config is read
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_diagnose_snapshot(tmp_path, capsys):
@@ -250,9 +256,9 @@ def test_diagnose_snapshot(tmp_path, capsys):
     assert main(["diagnose", str(bad)]) == 2
 
 
-def test_roundtrip_subcommand(tmp_path):
+def test_roundtrip_run(tmp_path):
     cfg = _write(tmp_path, ROUNDTRIP_CFG)
-    assert main(["roundtrip", cfg, "--output", str(tmp_path)]) == 0
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "loop.roundtrip.json").read_text())
     assert len(report["times"]) == len(report["geodesic_gap"]) == 3
     assert report["max_gap"] < 1e-8
@@ -272,7 +278,7 @@ def test_roundtrip_gap_that_is_not_finite_exits_3_without_outputs(tmp_path, caps
         return np.full_like(u, np.nan), np.full_like(e, np.nan)
 
     monkeypatch.setattr(smframe.reconstruct, "time_evolve_point", nan_step)
-    assert main(["roundtrip", _write(tmp_path, ROUNDTRIP_CFG), "--output", str(tmp_path)]) == 3
+    assert main(["run", _write(tmp_path, ROUNDTRIP_CFG), "--output", str(tmp_path)]) == 3
     assert "geodesic gap is not finite at t = 0.0005" in capsys.readouterr().err
     assert not (tmp_path / "loop.final.smfs").exists()
     assert not (tmp_path / "loop.roundtrip.json").exists()
@@ -287,12 +293,6 @@ def test_field_preset_reconstruct_runs(tmp_path):
     snap = read_snapshot(tmp_path / "rebuild.final.smfs")
     assert snap.time == pytest.approx(2e-2)
     assert snap.fields["u"].shape == snap.fields["e"].shape == (256, 3)
-
-
-def test_roundtrip_rejects_other_experiments(tmp_path, capsys):
-    cfg = _write(tmp_path, NLS1D_CFG)
-    assert main(["roundtrip", cfg]) == 2
-    assert "roundtrip" in capsys.readouterr().err
 
 
 def test_unknown_preset_parameter_is_config_error(tmp_path, capsys):
@@ -478,6 +478,25 @@ def test_parabolic_gnls_epsilon_above_one_is_config_error(tmp_path, capsys):
     assert "run.epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_parabolic_sm_epsilon_that_is_not_finite_is_config_error(tmp_path, capsys, epsilon):
+    text = _pair_cfg("parabolic-sm", "hyperbolic", "16, 16", _L4, 1e-3, 4, "gaussian-bump-chi",
+                     f"epsilon = {epsilon}")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert "config field 'run.epsilon'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["plane-wave", "random-bandlimited"])
+def test_nls1d_on_a_2d_grid_is_config_error(tmp_path, capsys, preset):
+    text = _pair_cfg("nls1d", "sphere", "32, 32", _L1, 1e-3, 4, preset)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert "config field 'grid.n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_base_point_off_the_target_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, SOLITON_RECONSTRUCT_CFG.replace("m = 0, 0, 1", "m = 2, 0, 0"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
@@ -525,6 +544,8 @@ CONFIG_KEY_ERRORS = {
                        "grid.n': missing required key"),
     "missing grid length": (lambda p: NLS1D_CFG.replace("length = 62.83185307179586\n", ""),
                             "grid.length': missing required key"),
+    "run seed": (lambda p: NLS1D_CFG.replace("run_id = demo", "run_id = demo\nseed = 0"),
+                 "run.seed': unknown key"),
 }
 
 
@@ -537,9 +558,51 @@ def test_unknown_or_missing_key_is_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+_RECON_H2 = SOLITON_RECONSTRUCT_CFG.replace("target = sphere", "target = hyperbolic") \
+    .replace("m = 0, 0, 1\nv0 = 1, 0, 0", "m = 1, 0, 0\nv0 = 0, 1, 0")
+#: case -> (config text, the start of its message)
+CONFIG_VALUE_ERRORS = {
+    "missing run section": (NLS1D_CFG[NLS1D_CFG.index("[grid]"):],
+                            "config': sections [run] and [grid] are required"),
+    "missing grid section": (NLS1D_CFG.replace("[grid]\nn = 64\nlength = 62.83185307179586\n",
+                                               ""),
+                             "config': sections [run] and [grid] are required"),
+    "missing initial section": (NLS1D_CFG[:NLS1D_CFG.index("[initial]")],
+                                "initial': section [initial] is required"),
+    "initial without preset or snapshot": (NLS1D_CFG.replace("preset = soliton\n", ""),
+                                           "initial': needs either 'preset' or 'snapshot'"),
+    "reconstruct without base": (
+        SOLITON_RECONSTRUCT_CFG[:SOLITON_RECONSTRUCT_CFG.index("[base]")],
+        "base': experiment reconstruct needs a [base] section"),
+    "unparsable value": (NLS1D_CFG.replace("dt = 1e-3", "dt = fast"),
+                         "run.dt': cannot parse 'fast'"),
+    "base m of two components": (SOLITON_RECONSTRUCT_CFG.replace("m = 0, 0, 1", "m = 0, 1"),
+                                 "base.m': cannot parse '0, 1'"),
+    "unknown target": (NLS1D_CFG.replace("target = sphere", "target = torus"),
+                       "run.target': "),
+    "negative t_end": (NLS1D_CFG.replace("t_end = 0.01", "t_end = -1"),
+                       "run.t_end': must be finite and nonnegative"),
+    "infinite t_end": (NLS1D_CFG.replace("t_end = 0.01", "t_end = inf"),
+                       "run.t_end': must be finite and nonnegative"),
+    "field preset reconstruct on 2D": (SOLITON_RECONSTRUCT_CFG.replace("n = 256", "n = 16, 16"),
+                                       "initial.preset': field presets reconstruct 1D sphere"),
+    "field preset reconstruct on H2": (_RECON_H2,
+                                       "initial.preset': field presets reconstruct 1D sphere"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_VALUE_ERRORS))
+def test_config_error_names_its_field(tmp_path, capsys, case):
+    text, message = CONFIG_VALUE_ERRORS[case]
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 2
+    assert f"config field '{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_roundtrip_needs_no_base_section(tmp_path):
     cfg = _write(tmp_path, ROUNDTRIP_CFG[:ROUNDTRIP_CFG.index("[base]")])
-    assert main(["roundtrip", cfg, "--output", str(tmp_path)]) == 0
+    assert main(["run", cfg, "--output", str(tmp_path)]) == 0
     assert (tmp_path / "loop.roundtrip.json").exists()
 
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -79,25 +80,16 @@ def test_rk4_matches_taylor_factor_on_linear_ode():
     y = np.array([[1.0, -2.0], [0.5j, 3.0 - 1.0j]])
     z = lam * h
     factor = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-    out = rk4(lambda s, v: lam * v, y, h)
+    out = rk4(lambda v: lam * v, y, h)
     assert np.max(np.abs(out - factor * y)) < 1e-14
 
 
 def test_rk4_with_given_k1_is_bit_identical():
-    def f(s, v):
-        return 1j * np.abs(v) ** 2 * v + (0.3 - s) * v
+    def f(v):
+        return 1j * np.abs(v) ** 2 * v + 0.3 * v
 
     y = np.array([[1.0, -2.0], [0.5j, 3.0 - 1.0j]])
-    assert np.array_equal(rk4(f, y, 0.1, k1=f(0.0, y)), rk4(f, y, 0.1))
-
-
-def test_rk4_passes_stage_times():
-    # RK4 reduces to Simpson's rule when f depends on t alone, and Simpson
-    # integrates dy/dt = 4 t^3 exactly: y(h) = h^4.  A power-of-two h keeps
-    # every stage value exact in floating point.
-    h = 0.5
-    out = rk4(lambda s, v: np.full_like(v, 4.0 * (s * h) ** 3), np.zeros(2), h)
-    assert np.all(out == h**4)
+    assert np.array_equal(rk4(f, y, 0.1, k1=f(y)), rk4(f, y, 0.1))
 
 
 def test_lawson_heun_is_exact_on_linear_part():
@@ -129,7 +121,7 @@ def test_lawson_heun_is_exact_on_linear_part():
 def test_integrators_make_no_transform(fft_census):
     y = np.fft.fft(np.arange(8.0))
     fft_census.clear()
-    rk4(lambda s, v: -v, y, 0.1)
+    rk4(lambda v: -v, y, 0.1)
     lawson_heun(y, 0.1, np.full(8, 0.5), lambda v: v * v)
     assert fft_census == {}
 
@@ -225,6 +217,23 @@ def test_snapshot_write_read_is_identity(tmp_path_factory, snap):
 
 
 @settings(max_examples=60, deadline=None)
+@given(values=hst.lists(hst.floats(), min_size=32, max_size=32))
+def test_snapshot_rewrite_keeps_every_byte(tmp_path_factory, values):
+    # any float64 pairs, inf, nan payloads and -0.0 included, as complex
+    # points and as real scalars: write -> read -> write gives the same bytes
+    g = Grid((16,), (1.0,))
+    flat = np.array(values, dtype="<f8")
+    fields = {"q": flat.view("<c16"), "f": flat[:16]}
+    first, second = (tmp_path_factory.mktemp("snap") / name for name in ("a.smfs", "b.smfs"))
+    write_snapshot(first, g, geo.SPHERE, 0.0, fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_snapshot(first)
+    write_snapshot(second, g, geo.SPHERE, 0.0, back.fields)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
 @given(snap=_snapshots(), draw=hst.data())
 def test_snapshot_truncation_is_format_error(tmp_path_factory, snap, draw):
     g, target, time, fields = snap
@@ -287,6 +296,34 @@ def test_snapshot_non_finite_box_length_is_format_error(tmp_path, length):
     path.write_bytes(data)
     with pytest.raises(FormatError):
         read_snapshot(path)
+
+
+#: element kind byte of the one field "f" of a 16-point snapshot, and its end
+_KIND_AT = _header_bytes(1) + 2 + 1
+_END = _KIND_AT + 1 + 8 * 16
+#: defect -> (byte offset, bytes written there, message); FormatError names the offset
+SNAPSHOT_DEFECTS = {
+    "version": (4, struct.pack("<I", 2), "unsupported version 2"),
+    "target kind": (8, b"\x02", "unknown target kind 2"),
+    "dimension": (9, b"\x03", "unsupported dimension 3"),
+    "element kind": (_KIND_AT, b"\x07", "unknown element kind 7"),
+    "1-byte trailing block": (_END, b"\x01", "truncated field-name length"),
+}
+
+
+@pytest.mark.parametrize("defect", list(SNAPSHOT_DEFECTS))
+def test_snapshot_defect_is_format_error_at_its_offset(tmp_path, defect):
+    offset, patch, message = SNAPSHOT_DEFECTS[defect]
+    g = Grid((16,), (1.0,))
+    path = tmp_path / "defect.smfs"
+    write_snapshot(path, g, geo.SPHERE, 0.0, {"f": np.zeros(g.shape)})
+    data = bytearray(path.read_bytes())
+    assert len(data) == _END
+    data[offset:offset + len(patch)] = patch
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as err:
+        read_snapshot(path)
+    assert err.value.offset == offset
 
 
 def test_snapshot_bad_magic_reports_offset(tmp_path):

@@ -101,6 +101,13 @@ def test_nls1d_rejects_bad_step():
         nls1d_step(g, np.zeros(64, complex), -1e-3, 1)
 
 
+def test_nls1d_step_rejects_a_2d_grid():
+    # on 32^2 a step of the plane wave would be off its uniform phase by 1.9
+    g = Grid((32, 32), (2 * np.pi, 2 * np.pi))
+    with pytest.raises(ValueError, match="1D grid"):
+        nls1d_step(g, presets.plane_wave(g, 1.5), 1e-3, 1)
+
+
 def test_connection_is_zero_in_1d():
     g = Grid((64,), (2 * np.pi,))
     a = connection_from_coordinates(geo.SPHERE, g, np.ones((1, 64), complex))
