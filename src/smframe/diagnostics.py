@@ -15,20 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .direct import MapState, dirichlet_density
+from .direct import MapState
 from .errors import CadenceMismatch, NegativeEnergy, SmframeError
-from .field import integrate
+from .field import gradient, integrate
 
 
 def energy_map(state: MapState) -> float:
-    """Dirichlet energy int sum_k <d_k u, d_k u> in the target metric.
+    """Dirichlet energy int sum_k <d_k u, d_k u> in the target metric, by
+    Parseval on `MapState.spectrum` (no transform once it is memoized).
 
     Nonnegative for states on the constraint set; a Lorentz value below
     -1e-10 means the state has left the hyperboloid and raises
     NegativeEnergy instead of silently returning garbage.
     """
-    density = dirichlet_density(state.target, state.grid, state.u)
-    value = float(integrate(state.grid, density))
+    uh = state.spectrum
+    power = np.tensordot(state.target.metric_diag, uh.real**2 + uh.imag**2, 1)
+    value = float(np.sum(state.grid.half_dirichlet * power))
     if value < -1e-10:
         raise NegativeEnergy(
             f"Lorentz gradient energy {value:.3e} < 0: constraint breach")
@@ -38,7 +40,8 @@ def energy_map(state: MapState) -> float:
 def lorentz_weighted_energy(state: MapState) -> float:
     """int <grad u, grad u> u0 dx, the dissipation-rate weight of the
     parabolic hyperbolic flow (u0 = cosh chi)."""
-    density = dirichlet_density(state.target, state.grid, state.u)
+    du = gradient(state.grid, state.u)
+    density = np.sum(geo.inner(state.target, du, du), axis=0)
     return float(integrate(state.grid, density * state.u[..., 0]))
 
 

@@ -18,21 +18,22 @@ The parabolic perturbation of the hyperbolic flow,
 
 uses a Lawson integrating-factor Heun step on the half spectra of u: the
 dissipative linear part eps Lap / (1 + eps^2) is exact in Fourier space,
-everything else explicit.  Both steppers, and `flux_divergence`, share the
-stage kernel `_flux_hat`; the parabolic stage takes the Dirichlet density
-from the same d_k u and transforms its product with u forth.
+everything else explicit, in tension form (<grad u, eta grad u> = -<u, eta Lap u>
+on H^2): a stage transforms (v, Lap v) back and J(v x Lap v) / (1 + eps^2) +
+nu <v, eta Lap v> v forth.  Both steppers start from `MapState.spectrum`, the
+memo that the Parseval `diagnostics.energy_map` also reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateRetraction, InvalidStep
-from .field import Grid, _irfft, _rfft, check_cfl, gradient, integrate, lawson_heun, rk4, \
-    roll_axes
+from .field import Grid, _irfft, _rfft, check_cfl, integrate, lawson_heun, rk4, roll_axes
 
 
 @dataclass(frozen=True)
@@ -49,29 +50,30 @@ class MapState:
         u = np.ascontiguousarray(roll_axes(np.asarray(self.u), 0, -1))
         object.__setattr__(self, "u", roll_axes(u, 0, 1))
 
+    @cached_property  # in the instance __dict__, which dataclasses.replace drops
+    def spectrum(self) -> np.ndarray:
+        """Half spectra of u's 3 components (components first), read-only."""
+        uh = _rfft(self.grid, roll_axes(self.u, 0, self.grid.dim))
+        uh.flags.writeable = False
+        return uh
+
     def constraint_max(self) -> float:
         return float(np.max(np.abs(geo.constraint_defect(self.target, self.u))))
 
 
-def _flux_hat(target: geo.Target, grid: Grid, vh: np.ndarray) -> tuple:
-    """(v, d_k v, the half spectra of sum_k d_k J(v x d_k v)) from the half
-    spectra vh of v's 3 components; v and d_k v are components last."""
+def _flux_hat(target: geo.Target, grid: Grid, vh: np.ndarray) -> np.ndarray:
+    """The half spectra of sum_k d_k J(v x d_k v) from the half spectra vh of
+    v's 3 components."""
     ik = grid.half_ik
     v_dv = roll_axes(_irfft(grid, np.stack([vh, *(k * vh for k in ik)])), 1, -grid.dim)
     jh = _rfft(grid, roll_axes(geo.j_apply(target, v_dv[0], v_dv[1:]), 1, grid.dim))
-    return v_dv[0], v_dv[1:], sum(k * jk for k, jk in zip(ik, jh))
+    return sum(k * jk for k, jk in zip(ik, jh))
 
 
 def flux_divergence(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
     """sum_k d_k J(u x d_k u): the divergence-form right-hand side."""
     uh = _rfft(grid, roll_axes(u, 0, grid.dim))
-    return roll_axes(_irfft(grid, _flux_hat(target, grid, uh)[2]), 0, -grid.dim)
-
-
-def dirichlet_density(target: geo.Target, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """sum_k <d_k u, d_k u> in the target metric."""
-    du = gradient(grid, u)
-    return np.sum(geo.inner(target, du, du), axis=0)
+    return roll_axes(_irfft(grid, _flux_hat(target, grid, uh)), 0, -grid.dim)
 
 
 def heisenberg_step(state: MapState, dt: float) -> MapState:
@@ -84,15 +86,14 @@ def heisenberg_step(state: MapState, dt: float) -> MapState:
     check_cfl(state.grid, dt)
     tg, grid = state.target, state.grid
 
-    def advance(u, h):
-        uh = _rfft(grid, roll_axes(u, 0, grid.dim))
-        uh = rk4(lambda vh: _flux_hat(tg, grid, vh)[2], uh, h)
+    def advance(st, h):
+        uh = rk4(lambda vh: _flux_hat(tg, grid, vh), st.spectrum, h)
         return geo.retract(tg, roll_axes(_irfft(grid, uh), 0, -grid.dim))
 
     try:
-        u = advance(state.u, dt)
+        u = advance(state, dt)
     except DegenerateRetraction:
-        u = advance(advance(state.u, dt / 2.0), dt / 2.0)
+        u = advance(replace(state, u=advance(state, dt / 2.0)), dt / 2.0)
     return replace(state, time=state.time + dt, u=u)
 
 
@@ -106,14 +107,16 @@ def parabolic_sm_step(state: MapState, dt: float, epsilon: float) -> MapState:
         raise InvalidStep(f"epsilon must be positive and finite, got {epsilon}")
     tg, grid = state.target, state.grid
     nu = epsilon / (1.0 + epsilon**2)
+    lap = -grid.half_k_squared  # even, so the Nyquist mode is kept
 
     def nonlinear(vh):
-        v, dv, flux = _flux_hat(tg, grid, vh)
-        density = np.sum(geo.inner(tg, dv, dv), axis=0)
-        return flux / (1.0 + epsilon**2) - nu * _rfft(grid, density * roll_axes(v, 0, grid.dim))
+        # d_k (v x d_k v) = v x Lap v, and <grad v, eta grad v> = -<v, eta Lap v>
+        v, lv = roll_axes(_irfft(grid, np.stack([vh, lap * vh])), 1, -grid.dim)
+        w = (geo.j_apply(tg, v, lv) / (1.0 + epsilon**2)
+             + nu * geo.inner(tg, v, lv)[..., np.newaxis] * v)
+        return _rfft(grid, roll_axes(w, 0, grid.dim))
 
-    uh = lawson_heun(_rfft(grid, roll_axes(state.u, 0, grid.dim)), dt,
-                     np.exp(-nu * grid.half_k_squared * dt), nonlinear)
+    uh = lawson_heun(state.spectrum, dt, np.exp(-nu * grid.half_k_squared * dt), nonlinear)
     u_new = roll_axes(_irfft(grid, uh), 0, -grid.dim)
     return replace(state, time=state.time + dt, u=geo.retract(tg, u_new))
 

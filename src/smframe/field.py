@@ -119,6 +119,15 @@ class Grid:
         return tuple(-ik / denominator for ik in self.half_ik)
 
     @cached_property
+    def half_dirichlet(self) -> np.ndarray:
+        """Parseval multiplier of int sum_k (d_k f)^2 dx on the half spectrum of a real
+        f: sum_k |half_ik|^2, column weights 1, 2, ..., 2, 1 (an inner column
+        stands for its conjugate too) and h^d / N."""
+        weight = np.r_[1.0, np.full(self.n[-1] // 2 - 1, 2.0), 1.0]
+        k2 = sum(np.abs(ik) ** 2 for ik in self.half_ik)
+        return k2 * weight * (self.cell_volume / np.prod(self.n))
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3 rule: True where |k_axis| <= n_axis / 3 on every axis."""
         keep = [np.abs(np.fft.fftfreq(n) * n) <= n / 3.0 for n in self.n]

@@ -116,7 +116,7 @@ class Plan(NamedTuple):
     states: Iterator  # the t = 0 state, then every logged state
     row: Callable  # state -> DiagnosticsRow
     final: Callable  # state -> fields of the final snapshot
-    energy0: float | None  # Dirichlet energy held to ENERGY_DRIFT, if conserved
+    energy0: float | None  # map flows' Dirichlet energy at t = 0, the check's start
     summary: Callable | None  # () -> the roundtrip.json record, after the run
 
 
@@ -178,7 +178,7 @@ def _map_flow(cfg: RunConfig) -> Plan:
     step = parabolic_sm_step if parabolic else heisenberg_step
     state = MapState(grid=cfg.grid, target=cfg.target, time=0.0, u=_initial(cfg, "u"))
     return Plan(_march(cfg, state, step), _map_row, lambda s: {"u": s.u},
-                None if parabolic else diag.energy_map(state), None)
+                diag.energy_map(state), None)
 
 
 def _reconstruct(cfg: RunConfig) -> Plan:
@@ -268,7 +268,12 @@ def execute(cfg: RunConfig, config_text: str,
     for i, state in enumerate(plan.states, 1):
         row = plan.row(state)
         log.append(row)
-        if e0 is not None and not abs(row.energy - e0) <= ENERGY_DRIFT * max(e0, 1.0):
+        if cfg.experiment == "parabolic-sm":  # dissipative: the energy never rises
+            if not row.energy <= e0 * (1.0 + 1e-12) + 1e-14:
+                raise SmframeError(f"parabolic energy rose from {e0:.15e} to {row.energy:.15e}"
+                                   f" at step {i * cfg.snapshot_every}, t = {state.time:g}")
+            e0 = row.energy
+        elif e0 is not None and not abs(row.energy - e0) <= ENERGY_DRIFT * max(e0, 1.0):
             raise SmframeError(f"energy {row.energy:.6g} left E0 = {e0:.6g} at step "
                                f"{i * cfg.snapshot_every}, t = {state.time:g}")
     fields = plan.final(state)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from smframe import geometry as geo
-from smframe.direct import dirichlet_density, flux_divergence
+from smframe.direct import flux_divergence
 from smframe.field import _fft, _ifft, _irfft, _rfft, rk4, roll_axes, spectral_derivative
 from smframe.gnls import _derive
 
@@ -24,6 +24,24 @@ def complex_derivative(grid, f, axis):
     k[grid.n[axis] // 2] = 0.0
     fh = np.fft.fft(f, axis=axis)
     return np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis).real
+
+
+def dirichlet_density(target, grid, u):
+    """sum_k <d_k u, d_k u> in the target metric from `complex_derivative`."""
+    return sum(geo.inner(target, du, du)
+               for du in (complex_derivative(grid, u, k) for k in range(grid.dim)))
+
+
+def complex_laplacian(grid, f):
+    """sum_k ifft(-k^2 fft(f)).real along each grid axis of a real f, grid axes
+    first and any trailing axes after them; the Nyquist mode of k^2 is kept."""
+    out = np.zeros_like(f)
+    for axis in range(grid.dim):
+        shape = [1] * f.ndim
+        shape[axis] = grid.n[axis]
+        k2 = _wavenumbers(grid, axis).reshape(shape) ** 2
+        out += np.fft.ifft(-k2 * np.fft.fft(f, axis=axis), axis=axis).real
+    return out
 
 
 def complex_poisson(grid, rhs):
@@ -69,14 +87,30 @@ def lawson_heun(grid, y, h, c, nonlinear):
 
 
 def parabolic_sm_step(state, dt, epsilon):
-    """`lawson_heun` of the parabolic map flow, each stage from `flux_divergence`
-    and `dirichlet_density`, then a retraction."""
+    """`lawson_heun` of the parabolic map flow in divergence form, each stage
+    from `flux_divergence` and `dirichlet_density`, then a retraction."""
     tg, grid = state.target, state.grid
     nu = epsilon / (1.0 + epsilon**2)
 
     def nonlinear(v):
         return (flux_divergence(tg, grid, v) / (1.0 + epsilon**2)
                 - nu * dirichlet_density(tg, grid, v)[..., np.newaxis] * v)
+
+    u = geo.retract(tg, lawson_heun(grid, state.u, dt, nu, nonlinear))
+    return replace(state, time=state.time + dt, u=u)
+
+
+def parabolic_sm_tension_step(state, dt, epsilon):
+    """`lawson_heun` of the parabolic map flow in tension form, each stage
+    J(v x Lap v) / (1 + eps^2) + nu <v, eta Lap v> v from `complex_laplacian`,
+    then a retraction."""
+    tg, grid = state.target, state.grid
+    nu = epsilon / (1.0 + epsilon**2)
+
+    def nonlinear(v):
+        lv = complex_laplacian(grid, v)
+        return (geo.j_apply(tg, v, lv) / (1.0 + epsilon**2)
+                + nu * geo.inner(tg, v, lv)[..., np.newaxis] * v)
 
     u = geo.retract(tg, lawson_heun(grid, state.u, dt, nu, nonlinear))
     return replace(state, time=state.time + dt, u=u)

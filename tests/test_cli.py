@@ -23,7 +23,7 @@ from smframe import presets
 from smframe.cli import main
 from smframe.config import EXPERIMENTS
 from smframe.diagnostics import energy_map
-from smframe.direct import MapState, heisenberg_step
+from smframe.direct import MapState, heisenberg_step, parabolic_sm_step
 from smframe.errors import CFLViolation
 from smframe.field import Grid
 from smframe.runner import FIELD_PRESETS, MAP_PRESETS
@@ -704,6 +704,39 @@ def test_energy_drift_of_a_conservative_flow_exits_3(tmp_path, capsys, experimen
     assert f"energy {energy_map(state):.6g}" in err
     assert "E0 = 12.5664" in err and "step 2, t = 10" in err
     assert not (tmp_path / "flow.final.smfs").exists()
+
+
+PARABOLIC_SM_CFG = _pair_cfg("parabolic-sm", "hyperbolic", "32, 32", _L4, 1e-4, 20,
+                             "gaussian-bump-chi", "epsilon = 0.1").replace(
+    "snapshot_every = 2", "snapshot_every = 1")
+
+
+def test_parabolic_sm_run_never_raises_energy_or_moment(tmp_path):
+    assert main(["run", _write(tmp_path, PARABOLIC_SM_CFG), "--output", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "pair.diag.csv")
+    assert len(rows) == 20
+    for col in ("energy", "moment_1"):
+        assert all(b[col] <= a[col] for a, b in zip(rows, rows[1:])), col
+    assert rows[-1]["energy"] < rows[0]["energy"]
+
+
+def test_parabolic_sm_energy_that_rises_exits_3(tmp_path, capsys, monkeypatch):
+    # a stepper that steepens the map (its offset from the apex grows by 1 %
+    # a step) raises the Dirichlet energy, which the dissipative flow never does
+    def steepen(state, dt, epsilon):
+        u = parabolic_sm_step(state, dt, epsilon).u
+        apex = state.target.base_point
+        return MapState(grid=state.grid, target=state.target, time=state.time + dt,
+                        u=geo.retract(state.target, apex + 1.01 * (u - apex)))
+
+    monkeypatch.setattr(smframe.runner, "parabolic_sm_step", steepen)
+    assert main(["run", _write(tmp_path, PARABOLIC_SM_CFG), "--output", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    energies = [r["energy"] for r in _rows(tmp_path / "pair.diag.csv")]
+    assert len(energies) == 1
+    assert "parabolic energy rose from " in err and f"to {energies[0]:.15e}" in err
+    assert "at step 1, t = 0.0001" in err
+    assert not (tmp_path / "pair.final.smfs").exists()
 
 
 @pytest.mark.parametrize("experiment", ["direct-sm", "gnls", "roundtrip"])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from smframe import geometry as geo
 from smframe import presets
@@ -12,8 +13,10 @@ from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
                                  lorentz_weighted_energy)
 from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
-from smframe.field import Grid, integrate
+from smframe.field import Grid, gradient, integrate
 from smframe.gnls import gnls_mass, gnls_seed_from_map
+
+from test_direct import _maps, _random_map
 
 
 def _state(target, grid, u):
@@ -148,11 +151,28 @@ def test_convergence_order():
     assert convergence_order(1.0, 0.0) == math.inf
 
 
-def test_energy_map_takes_one_real_transform_pair(fft_census):
-    # one gradient serves both derivatives; per-axis complex derivatives
-    # took 2 + 2 1-D transforms
+def test_energy_map_takes_one_forward_transform_and_none_when_memoized(fft_census):
+    # Parseval on the state's half spectra: one forward transform makes them,
+    # and a second functional (or the next step) reads the memo
     g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
     st = _state(geo.HYPERBOLIC, g, presets.gaussian_bump_chi(g, 0.5, 0.8))
     fft_census.clear()
-    assert energy_map(st) > 0.0
-    assert fft_census == {"fwd_nd": 1, "inv_nd": 1}
+    energy = energy_map(st)
+    assert energy > 0.0
+    assert fft_census == {"fwd_nd": 1}
+    fft_census.clear()
+    assert energy_map(st) == energy
+    assert fft_census == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_maps)
+def test_parseval_energy_equals_the_gradient_integral(target, n, length, kmax, amplitude, seed):
+    g = Grid(n, (length,) * len(n))
+    u = _random_map(target, g, kmax, amplitude, seed)
+    du = gradient(g, u)
+    expect = integrate(g, np.sum(geo.inner(target, du, du), axis=0))
+    # round-off of the Lorentz sum scales with the Euclidean one, sum |d_k u|^2;
+    # subnormal squares (amplitudes near 1e-160) keep only an absolute accuracy
+    scale = integrate(g, np.sum(du * du, axis=(0, -1)))
+    assert abs(energy_map(_state(target, g, u)) - expect) <= 1e-14 * scale + np.finfo(float).tiny

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from smframe.direct import (MapState, flux_divergence, heisenberg_step, map_mome
                             parabolic_sm_step)
 from smframe.errors import CFLViolation, DegenerateRetraction, InvalidStep
 from smframe.field import Grid
+from smframe.runner import _map_row
 
 import reference
 from reference import complex_derivative
@@ -131,15 +134,36 @@ def test_map_moment_conventions():
     assert np.allclose(map_moment(st), [0.0, 0.0, 0.0])
 
 
-def test_parabolic_step_takes_five_forward_and_three_inverse_real_transforms(fft_census):
-    # u in and out once, and per Lawson stage one inverse transform of
-    # (v, d_k v) and two forward ones, of the fluxes and of density * v
+def test_parabolic_step_takes_three_forward_and_three_inverse_real_transforms(fft_census):
+    # u forth once (the state's spectrum) and back once, and per Lawson stage
+    # one inverse transform of (v, Lap v) and one forward one of the tension-form field
     g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
     st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
                   u=presets.gaussian_bump_chi(g, 0.5, 0.8))
     fft_census.clear()
     parabolic_sm_step(st, 1e-4, 0.1)
-    assert fft_census == {"fwd_nd": 5, "inv_nd": 3}
+    assert fft_census == {"fwd_nd": 3, "inv_nd": 3}
+
+
+def test_logged_parabolic_step_starts_from_the_row_spectrum(fft_census):
+    # the row's Parseval energy makes the spectrum the step starts from
+    g = Grid((32, 32), (4 * np.pi, 4 * np.pi))
+    st = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
+                  u=presets.gaussian_bump_chi(g, 0.5, 0.8))
+    fft_census.clear()
+    _map_row(st)
+    parabolic_sm_step(st, 1e-4, 0.1)
+    assert fft_census == {"fwd_nd": 3, "inv_nd": 3}
+
+
+def test_spectrum_memo_is_read_only_and_not_carried_by_replace():
+    g = Grid((32,), (4 * np.pi,))
+    st = MapState(grid=g, target=geo.SPHERE, time=0.0, u=presets.perturbed_great_circle(g))
+    assert st.spectrum is st.spectrum
+    assert not st.spectrum.flags.writeable
+    moved = replace(st, u=presets.great_circle(g))
+    assert "spectrum" not in vars(moved)
+    assert not np.array_equal(moved.spectrum, st.spectrum)
 
 
 def test_heisenberg_step_takes_five_real_transform_pairs(fft_census, real_fft_census):
@@ -215,6 +239,20 @@ def test_parabolic_step_matches_the_grid_value_reference(target, n, length, kmax
                                                           seed, dt, epsilon):
     g = Grid(n, (length,) * len(n))
     st = MapState(grid=g, target=target, time=0.0, u=_random_map(target, g, kmax, amplitude, seed))
-    got, ref = parabolic_sm_step(st, dt, epsilon), reference.parabolic_sm_step(st, dt, epsilon)
+    got = parabolic_sm_step(st, dt, epsilon)
+    ref = reference.parabolic_sm_tension_step(st, dt, epsilon)
     assert np.max(np.abs(got.u - ref.u)) <= 1e-13 * np.max(np.abs(ref.u))
     assert got.time == ref.time
+
+
+def test_tension_form_matches_the_divergence_form_on_resolved_data():
+    # at 128^2 over 8 pi the bump is resolved to round-off, so the stage's two
+    # forms agree far below the step's time error (about 7e-10 after 200 steps);
+    # on under-resolved data their products alias differently
+    g = Grid((128, 128), (8 * np.pi, 8 * np.pi))
+    st = ref = MapState(grid=g, target=geo.HYPERBOLIC, time=0.0,
+                        u=presets.gaussian_bump_chi(g, 0.5, 1.0))
+    for _ in range(50):
+        st, ref = parabolic_sm_step(st, 1e-4, 0.1), reference.parabolic_sm_step(ref, 1e-4, 0.1)
+    assert np.max(np.abs(st.u - presets.gaussian_bump_chi(g, 0.5, 1.0))) > 1e-3
+    assert np.max(np.abs(st.u - ref.u)) <= 1e-12
