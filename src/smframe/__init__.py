@@ -24,8 +24,7 @@ from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .reconstruct import (MapFrameState, initial_data_sweep, reconstruct_trajectory,
                           sm_residual, time_evolve_point)
-from .diagnostics import (DiagnosticsLog, DiagnosticsRow, convergence_order,
-                          energy_map, geodesic_gap)
+from .diagnostics import DiagnosticsLog, DiagnosticsRow, energy_map, geodesic_gap
 from .snapshot import Snapshot, read_snapshot, write_snapshot
 from .config import RunConfig, load_config
 

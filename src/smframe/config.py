@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -188,10 +189,13 @@ def load_config(path) -> RunConfig:
         except FrameInvalid as exc:
             raise ConfigError("base.v0", f"v0 is not a unit tangent at m: {exc}") from exc
 
+    run_id = _get(run, "run_id", str, "run.run_id", default=experiment)
+    if run_id in ("", ".", "..") or {os.sep, os.altsep} & set(run_id):  # no path
+        raise ConfigError("run.run_id", f"must be a plain file name, got {run_id!r}")
     return RunConfig(
         experiment=experiment, target=target, grid=grid, dt=dt, t_end=t_end,
         snapshot_every=snapshot_every,
         output=_get(run, "output", str, "run.output", default="."),
-        run_id=_get(run, "run_id", str, "run.run_id", default=experiment),
+        run_id=run_id,
         epsilon=epsilon, preset=preset, preset_params=preset_params,
         snapshot_path=snapshot_path, base_m=base_m, base_v0=base_v0)

@@ -114,10 +114,3 @@ def geodesic_gap(direct, reconstructed) -> float:
         raise CadenceMismatch(f"times {direct.time} and {reconstructed.time} differ")
     return float(np.max(geo.geodesic_distance(direct.target, direct.u, reconstructed.u)))
 
-
-def convergence_order(err_coarse: float, err_fine: float,
-                      refinement: float = 2.0) -> float:
-    """Observed order log(err_coarse / err_fine) / log(refinement)."""
-    if err_fine <= 0.0:
-        return math.inf
-    return math.log(err_coarse / err_fine) / math.log(refinement)

@@ -17,7 +17,8 @@ so each step is a 4th-order Magnus step whose exponential has a closed form
 (`_propagator`, shared by both transports) and keeps F on its group to
 round-off.  The sweep samples (q, a) between grid points by zero padding,
 and retracts and re-orthonormalizes once, at its output; the time
-transport does so after every step.
+transport does so after every step.  Each state keeps its slice's q_0,
+so `sm_residual` checks u_t = Re(q_0) e + Im(q_0) Je on that slice alone.
 
 The construction lives on the torus while the underlying identities hold
 on R^d, so the spatial sweep need not close up; the wrap-around mismatch
@@ -47,6 +48,7 @@ class MapFrameState:
     u: np.ndarray
     e: np.ndarray
     periodicity_defect: float = 0.0
+    q0: np.ndarray | None = None  # q_0 = i D_k q_k of the slice; None from a sweep alone
 
 
 #: |c| below which the coefficients of exp(A(w)) are summed as Taylor
@@ -240,29 +242,25 @@ def reconstruct_trajectory(start: GnlsState, dt: float, m: np.ndarray, v0: np.nd
                            ) -> Iterator[MapFrameState]:
     """Sweep the slice of `start` from the base point (m, v0) now; yield it,
     then every `snapshot_every`-th state of the time transport, each step of
-    dt taken as it is drawn.  `start` is not changed; states are timed from 0."""
-    gnls_rhs(start)  # the first step's k1; the sweep reads its connection from the same memo
-    state = initial_data_sweep(start.target, start.grid, start.q, start.fields()[1], m, v0)
+    dt taken as it is drawn.  Each state carries the q_0 of its slice, the
+    transport step's end stage.  `start` is not changed; states are timed from 0."""
+    q0, a, _ = start.fields()  # the memo also holds the first step's k1
+    state = replace(initial_data_sweep(start.target, start.grid, start.q, a, m, v0), q0=q0)
     gauge_side = start
 
     def advance(st: MapFrameState) -> MapFrameState:
         nonlocal gauge_side
         gauge_side, stages = _gnls_stages(gauge_side, dt)
         u, e = time_evolve_point(st.target, st.u, st.e, stages, dt)
-        return replace(st, time=st.time + dt, u=u, e=e)
+        return replace(st, time=st.time + dt, u=u, e=e, q0=stages[2][0])
 
     return march(state, advance, n_steps, snapshot_every)
 
 
-def sm_residual(target: geo.Target, grid: Grid,
-                states: tuple[MapFrameState, MapFrameState, MapFrameState],
-                dt: float) -> float:
-    """Discrete residual of the map equation du/dt = d_k J(u x d_k u).
-
-    Centered time difference of u against the spectral flux divergence at
-    the middle state, in the max norm.
-    """
-    prev, mid, nxt = states
-    dudt = (nxt.u - prev.u) / (2.0 * dt)
-    res = dudt - flux_divergence(target, grid, mid.u)
-    return float(np.max(np.abs(res)))
+def sm_residual(target: geo.Target, grid: Grid, state: MapFrameState) -> float:
+    """Residual of the map equation du/dt = d_k J(u x d_k u) on one slice, in
+    the max norm: the frame relation du/dt = Re(q_0) e + Im(q_0) Je against
+    the spectral flux divergence of u."""
+    q0 = state.q0[..., np.newaxis]
+    dudt = q0.real * state.e + q0.imag * geo.j_apply(target, state.u, state.e)
+    return float(np.max(np.abs(dudt - flux_divergence(target, grid, state.u))))

@@ -191,26 +191,14 @@ def _reconstruct(cfg: RunConfig) -> Plan:
         start, _ = gnls.gnls_seed_from_map(cfg.target, cfg.grid, _initial(cfg, "u"))
     states = reconstruct_trajectory(start, cfg.dt, cfg.base_m, cfg.base_v0, cfg.n_steps,
                                     cfg.snapshot_every)
-    window = [None, next(states)]  # the previous, yielded and next logged states
-    gap_dt = cfg.dt * cfg.snapshot_every
-
-    def late() -> Iterator[MapFrameState]:
-        # a row's residual needs the next state, so each state is yielded one step late
-        for nxt in itertools.chain(states, [None]):
-            window.append(nxt)
-            yield window[1]
-            del window[0]
 
     def row(st: MapFrameState) -> diag.DiagnosticsRow:
-        # rows start after t = 0, so window[0] is a state; the last row has no next one
-        res = (np.nan if window[2] is None
-               else sm_residual(cfg.target, cfg.grid, tuple(window), gap_dt))
         return diag.DiagnosticsRow(
-            time=st.time, residual_sm=res,
+            time=st.time, residual_sm=sm_residual(cfg.target, cfg.grid, st),
             constraint_max=float(np.max(np.abs(constraint_defect(cfg.target, st.u)))),
             periodicity_defect=st.periodicity_defect)
 
-    return Plan(late(), row, lambda st: {"u": st.u, "e": st.e}, None, None)
+    return Plan(states, row, lambda st: {"u": st.u, "e": st.e}, None, None)
 
 
 def _roundtrip(cfg: RunConfig) -> Plan:

@@ -128,3 +128,12 @@ def parabolic_gnls_step(state, dt, epsilon):
 
     q = lawson_heun(grid, np.moveaxis(state.q, 0, -1), dt, mu, nonlinear)
     return replace(state, time=state.time + dt, q=np.moveaxis(q, -1, 0))
+
+
+def sm_residual_centered(target, grid, states, dt):
+    """Residual of the map equation du/dt = d_k J(u x d_k u) from three
+    states dt apart, in the max norm: the centered time difference of u
+    against the spectral flux divergence at the middle state."""
+    prev, mid, nxt = states
+    dudt = (nxt.u - prev.u) / (2.0 * dt)
+    return float(np.max(np.abs(dudt - flux_divergence(target, grid, mid.u))))

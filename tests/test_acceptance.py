@@ -6,13 +6,14 @@ numbers, then asserts, so a full run gives a readable scorecard:
     python -m pytest tests/test_acceptance.py -v
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from smframe import geometry as geo
 from smframe import presets
-from smframe.diagnostics import (convergence_order, energy_map,
-                                 lorentz_weighted_energy)
+from smframe.diagnostics import energy_map, lorentz_weighted_energy
 from smframe.direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from smframe.field import Grid, integrate
 from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
@@ -22,7 +23,9 @@ from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb
 from smframe.gnls import (GnlsState, connection_from_coordinates, gnls_dissipation,
                           gnls_mass, gnls_seed_from_map, gnls_step,
                           nls1d_step, parabolic_gnls_step)
-from smframe.reconstruct import initial_data_sweep, reconstruct_trajectory, sm_residual
+from smframe.reconstruct import initial_data_sweep, reconstruct_trajectory
+
+from reference import sm_residual_centered
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -62,14 +65,14 @@ def _soliton_reconstruction_residual(n: int, dt: float, t_end: float) -> float:
     m, v0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     states = list(reconstruct_trajectory(_soliton_state(g), dt, m, v0,
                                          int(round(t_end / dt))))
-    return sm_residual(geo.SPHERE, g, tuple(states[-3:]), dt)
+    return sm_residual_centered(geo.SPHERE, g, tuple(states[-3:]), dt)
 
 
 def test_criterion_02_equivalence_residual():
     t_end = 8e-3
     res_c = _soliton_reconstruction_residual(512, 2e-3, t_end)
     res_f = _soliton_reconstruction_residual(1024, 5e-4, t_end)
-    order = convergence_order(res_c, res_f, refinement=2.0)
+    order = math.log2(res_c / res_f)
     ok = order >= 2.0 and res_f < 1e-4
     assert _report(2, "equivalence-residual", ok,
                    f"residual {res_c:.2e} -> {res_f:.2e}, "
@@ -93,7 +96,7 @@ def _map_roundtrip_error(n: int) -> float:
 def test_criterion_03_roundtrip_identity():
     err_c = _map_roundtrip_error(256)
     err_f = _map_roundtrip_error(512)
-    order = convergence_order(err_c, err_f, refinement=2.0)
+    order = math.log2(err_c / err_f)
     ok = err_f < 1e-6 and order >= 2.0
     assert _report(3, "roundtrip-identity", ok,
                    f"geodesic err {err_f:.2e} < 1e-6 at N=512, "

@@ -295,6 +295,19 @@ def test_field_preset_reconstruct_runs(tmp_path):
     assert snap.fields["u"].shape == snap.fields["e"].shape == (256, 3)
 
 
+def test_reconstruct_logs_each_slice_residual_on_every_row(tmp_path):
+    # criterion 02's fine soliton, a row every 4 steps: each row's residual
+    # reads its own slice's q_0 (5.1e-10 on all 4 rows), where a centered
+    # difference over logged states read 6.7e-7 and could not fill the last row
+    text = SOLITON_RECONSTRUCT_CFG.replace("dt = 1e-3", "dt = 5e-4").replace(
+        "t_end = 2e-2", "t_end = 8e-3").replace("snapshot_every = 5", "snapshot_every = 4")
+    text = text.replace("n = 256", "n = 1024").replace("62.83185307179586", repr(40 * np.pi))
+    assert main(["run", _write(tmp_path, text), "--output", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "rebuild.diag.csv")
+    assert [r["time"] for r in rows] == pytest.approx([2e-3, 4e-3, 6e-3, 8e-3])
+    assert all(r["residual_sm"] <= 1e-9 for r in rows)
+
+
 def test_unknown_preset_parameter_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, NLS1D_CFG.replace("b = 2.0", "c = 1.0"))
     assert main(["run", cfg, "--output", str(tmp_path)]) == 2
@@ -556,6 +569,16 @@ def test_unknown_or_missing_key_is_config_error(tmp_path, capsys, case):
     assert main(["run", _write(tmp_path, edit(tmp_path)), "--output", str(out)]) == 2
     assert f"config field '{message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["../escaped", "", ".", "..", "sub/demo"])
+def test_run_id_that_is_not_a_file_name_is_config_error(tmp_path, capsys, run_id):
+    # output files are named <run_id>.<kind> inside --output: a path would
+    # write them elsewhere, an empty id as hidden files
+    cfg = _write(tmp_path, NLS1D_CFG.replace("run_id = demo", f"run_id = {run_id}"))
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "config field 'run.run_id': must be a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 _RECON_H2 = SOLITON_RECONSTRUCT_CFG.replace("target = sphere", "target = hyperbolic") \
@@ -964,12 +987,10 @@ def test_cli_keeps_its_exit_code_contract(drawn):
             return
         with open(Path(tmp) / "fuzz.diag.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        for i, row in enumerate(rows):
+        for row in rows:
             for col, value in row.items():
                 value = float(value)
-                # reconstruct has no centered residual at its last state
-                unfilled = col not in FILLED[experiment] or (
-                    col == "residual_sm" and i == len(rows) - 1)
+                unfilled = col not in FILLED[experiment]
                 assert math.isfinite(value) or (math.isnan(value) and unfilled), (col, text)
         snap = read_snapshot(Path(tmp) / "fuzz.final.smfs")
         assert all(np.all(np.isfinite(v)) for v in snap.fields.values())

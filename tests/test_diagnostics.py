@@ -7,9 +7,7 @@ from hypothesis import given, settings
 
 from smframe import geometry as geo
 from smframe import presets
-from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow,
-                                 convergence_order,
-                                 energy_map, geodesic_gap,
+from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow, energy_map, geodesic_gap,
                                  lorentz_weighted_energy)
 from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
@@ -143,12 +141,6 @@ def test_geodesic_gap_cadence_check():
         geodesic_gap(a, late)
     assert geodesic_gap(a, MapState(grid=g, target=geo.SPHERE, time=a.time + 5e-10,
                                     u=a.u)) == 0.0
-
-
-def test_convergence_order():
-    assert convergence_order(1.0, 0.25) == pytest.approx(2.0)
-    assert convergence_order(1e-4, 1e-4 / 16, refinement=2.0) == pytest.approx(4.0)
-    assert convergence_order(1.0, 0.0) == math.inf
 
 
 def test_energy_map_takes_one_forward_transform_and_none_when_memoized(fft_census):
