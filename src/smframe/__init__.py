@@ -18,9 +18,8 @@ from .gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
                     exponential_gauge_connection, exponential_gauge_curl_residual,
                     extract_coordinates, gauge_transform, remove_mean_connection,
                     rotate_frame, validate_frame)
-from .gnls import (GnlsState, gnls_dissipation, gnls_mass, gnls_seed_from_map,
-                   gnls_step, nls1d_energy, nls1d_step,
-                   parabolic_gnls_step)
+from .gnls import (GnlsState, gnls_mass, gnls_seed_from_map, gnls_step, nls1d_energy,
+                   nls1d_step, parabolic_gnls_step)
 from .direct import MapState, heisenberg_step, map_moment, parabolic_sm_step
 from .reconstruct import (MapFrameState, initial_data_sweep, reconstruct_trajectory,
                           sm_residual, time_evolve_point)

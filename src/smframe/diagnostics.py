@@ -1,8 +1,7 @@
-"""Conserved and dissipated functionals, geodesic gaps, CSV logging.
+"""The map energy, geodesic gaps and the CSV log of diagnostics rows.
 
-All functionals are evaluated in ambient coordinates; the Killing
-potentials of both targets are globally smooth ambient components, so the
-coordinate singularity of (chi, theta) at the base point never enters.
+Values are evaluated in ambient coordinates, so the coordinate singularity
+of (chi, theta) at the base point never enters.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 from . import geometry as geo
 from .direct import MapState
 from .errors import CadenceMismatch, NegativeEnergy, SmframeError
-from .field import gradient, integrate
 
 
 def energy_map(state: MapState) -> float:
@@ -35,14 +33,6 @@ def energy_map(state: MapState) -> float:
         raise NegativeEnergy(
             f"Lorentz gradient energy {value:.3e} < 0: constraint breach")
     return value
-
-
-def lorentz_weighted_energy(state: MapState) -> float:
-    """int <grad u, grad u> u0 dx, the dissipation-rate weight of the
-    parabolic hyperbolic flow (u0 = cosh chi)."""
-    du = gradient(state.grid, state.u)
-    density = np.sum(geo.inner(state.target, du, du), axis=0)
-    return float(integrate(state.grid, density * state.u[..., 0]))
 
 
 @dataclass

@@ -15,6 +15,11 @@ gauge D_k D_k q = Delta q + 2i a_k d_k q - |a|^2 q, so one forward transform
 of q gives every d_k q_l, Delta q_l is applied on the spectrum inside
 the 2/3-rule truncation, and a, a_0 are products of half spectra with the
 cached Delta^-1 d_k; in 1D, where a = f = 0, no term they multiply is formed.
+The 1D Schroedinger flow (mu = i) is the cubic NLS: there f_10 = -(kappa/2)
+d_x |q|^2 is a gradient, so a_0 = -(kappa/2)(|q|^2 - |q(corner)|^2) is formed
+pointwise, with no elliptic solve, and one transform of the stacked (q, a_0 q)
+serves q_0 = i d_x q and the right-hand side.  For mu != i f_10 has the
+non-gradient part Im(i mu) kappa Im(q conj(q_x)), and a_0 is solved for.
 `_derive` hands back the spectra of the right-hand side: `GnlsState` memoizes
 its pass with them transformed back, which `fields()` and `gnls_rhs` both read,
 and the parabolic step keeps them as they are.  q, a, the right-hand side and
@@ -107,6 +112,19 @@ def _derive(target: geo.Target, grid: Grid, q: np.ndarray, mu: complex, lap: com
     full spectra of dq_l/dt less (mu - lap) Delta q_l, 2/3-rule truncated, where
     dq_l/dt = mu Delta q_l + i mu (2 a_k d_k q_l + f_lk q_k) - (mu |a|^2 + i a_0) q_l.
     With rhs=False just (q_0, a, a_0), bitwise the same, from the d_l q_l alone."""
+    if grid.dim == 1 and mu == 1j:  # the cubic NLS: a_1 = 0 and q_0 = i d_x q, so
+        # f_10 = -(kappa/2) d_x |q|^2 and Delta a_0 = d_x f_10 integrates in closed form
+        density = q[0].real ** 2 + q[0].imag ** 2
+        a0 = (-0.5 * target.kappa) * (density - density[0])  # vanishes at the box corner
+        qh = _fft(grid, np.concatenate((q, a0 * q)) if rhs else q)
+        q0 = 1j * _ifft(grid, grid.ik[0] * qh[0])
+        if not rhs:
+            return q0, np.zeros(q.shape), a0
+        spectra = qh[:1]  # dq/dt less (i - lap) q_xx: lap q_xx - i a_0 q
+        spectra *= -lap * grid.k_squared
+        spectra -= 1j * qh[1]
+        spectra *= grid.dealias_mask
+        return q0, np.zeros(q.shape), a0, spectra
     a = connection_from_coordinates(target, grid, q)
     qh = _fft(grid, q)
     r, q0 = [], 0.0  # q0 sums D_k q_k until scaled by mu
@@ -251,15 +269,3 @@ def parabolic_gnls_step(state: GnlsState, dt: float, epsilon: float) -> GnlsStat
 def gnls_mass(state: GnlsState) -> float:
     """E(t) = 1/2 int sum_l |q_l|^2."""
     return 0.5 * sum(integrate(state.grid, np.abs(qi) ** 2) for qi in state.q)
-
-
-def gnls_dissipation(state: GnlsState) -> float:
-    """int sum_{k,l} |D_k q_l|^2 + |<q_k, i q_l>|^2 (the dissipated density)."""
-    grid, q = state.grid, state.q
-    a = connection_from_coordinates(state.target, grid, q)
-    total = np.zeros(grid.shape)
-    for l in range(grid.dim):
-        for k in range(grid.dim):  # D_k q_l = d_k q_l + i a_k q_l
-            total += np.abs(spectral_derivative(grid, q[l], k) + 1j * a[k] * q[l]) ** 2
-            total += np.real(q[k] * np.conj(1j * q[l])) ** 2
-    return integrate(grid, total)

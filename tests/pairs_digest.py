@@ -10,10 +10,13 @@ and configs are written by `perfbench.workloads.prepare` with seed
 benchmark runs it.  Run the script in two checkouts and `diff` the two
 listings: each line names a run and one of its files, so a diff tells a
 run whose logged values moved (its CSV line only) from one whose state
-moved (its snapshot line too).  pytest does not collect it.
+moved (its snapshot line too).  A roundtrip report's line ends with its
+`max_gap`, so the diff also shows how far the roundtrip moved.  pytest does
+not collect it.
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -30,11 +33,19 @@ from test_cli import PAIRS  # noqa: E402
 WORKLOAD_SEED = 7
 
 
+def _line(path: Path) -> str:
+    """The file's SHA-256 digest, and the max_gap of a roundtrip report."""
+    line = hashlib.sha256(path.read_bytes()).hexdigest()
+    if path.name.endswith(".roundtrip.json"):
+        line += f" max_gap={json.loads(path.read_text())['max_gap']!r}"
+    return line
+
+
 def _run(cfg: Path, out: Path) -> dict[str, str]:
     code = main(["run", str(cfg), "--output", str(out)])
     if code:
         raise SystemExit(f"run exited {code}:\n{cfg.read_text()}")
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+    return {path.name: _line(path)
             for path in sorted(out.iterdir()) if not path.name.endswith(".manifest.json")}
 
 
@@ -57,8 +68,8 @@ def workload_digest(w: workloads.Workload) -> dict[str, str]:
 
 
 def _print(name: str, files: dict[str, str]) -> None:
-    for file, sha in files.items():
-        print(name, file, sha)
+    for file, line in files.items():
+        print(name, file, line)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ import numpy as np
 
 from smframe import geometry as geo
 from smframe.direct import flux_divergence
-from smframe.field import _fft, _ifft, _irfft, _rfft, rk4, roll_axes, spectral_derivative
-from smframe.gnls import _derive
+from smframe.field import (_fft, _ifft, _irfft, _rfft, gradient, integrate, rk4, roll_axes,
+                           spectral_derivative)
+from smframe.gnls import _derive, connection_from_coordinates
 
 
 def _wavenumbers(grid, axis):
@@ -57,6 +58,41 @@ def complex_poisson(grid, rhs):
 def covariant_derivative(grid, q, a, axis):
     """D_axis q = (d_axis + i a_axis) q for complex q, on per-axis derivatives."""
     return spectral_derivative(grid, q, axis) + 1j * a * q
+
+
+def nls1d_derive_elliptic(target, grid, q):
+    """(q_0, a_0, dq/dt) of the 1-D Coulomb-gauge Schroedinger system (a_1 = 0)
+    with a_0 solved from Delta a_0 = d_x kappa <q, i q_0> and anchored at the
+    box corner: q_0 = i q_x and dq/dt = i q_xx - i a_0 q, 2/3-rule truncated,
+    on complex transforms."""
+    q = q[0]
+    q0 = 1j * spectral_derivative(grid, q, 0)
+    a0 = complex_poisson(grid, complex_derivative(grid, geo.curvature_f(target, q, q0), 0))
+    a0 -= a0[0]
+    k2 = _wavenumbers(grid, 0) ** 2
+    spectrum = -1j * k2 * np.fft.fft(q) - 1j * np.fft.fft(a0 * q)
+    return q0, a0, np.fft.ifft(grid.dealias_mask * spectrum)[np.newaxis]
+
+
+def gnls_dissipation(state):
+    """int sum_{k,l} |D_k q_l|^2 + |<q_k, i q_l>|^2, the density the parabolic
+    Coulomb-gauge flow dissipates, on per-axis covariant derivatives."""
+    grid, q = state.grid, state.q
+    a = connection_from_coordinates(state.target, grid, q)
+    total = np.zeros(grid.shape)
+    for l in range(grid.dim):
+        for k in range(grid.dim):
+            total += np.abs(covariant_derivative(grid, q[l], a[k], k)) ** 2
+            total += np.real(q[k] * np.conj(1j * q[l])) ** 2
+    return integrate(grid, total)
+
+
+def lorentz_weighted_energy(state):
+    """int <grad u, grad u> u0 dx, the dissipation-rate weight of the
+    parabolic flow into H^2 (u0 = cosh chi)."""
+    du = gradient(state.grid, state.u)
+    density = np.sum(geo.inner(state.target, du, du), axis=0)
+    return float(integrate(state.grid, density * state.u[..., 0]))
 
 
 def heisenberg_step(state, dt):
@@ -128,12 +164,3 @@ def parabolic_gnls_step(state, dt, epsilon):
 
     q = lawson_heun(grid, np.moveaxis(state.q, 0, -1), dt, mu, nonlinear)
     return replace(state, time=state.time + dt, q=np.moveaxis(q, -1, 0))
-
-
-def sm_residual_centered(target, grid, states, dt):
-    """Residual of the map equation du/dt = d_k J(u x d_k u) from three
-    states dt apart, in the max norm: the centered time difference of u
-    against the spectral flux divergence at the middle state."""
-    prev, mid, nxt = states
-    dudt = (nxt.u - prev.u) / (2.0 * dt)
-    return float(np.max(np.abs(dudt - flux_divergence(target, grid, mid.u))))

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 
 from smframe import geometry as geo
 from smframe import presets
-from smframe.diagnostics import (DiagnosticsLog, DiagnosticsRow, energy_map, geodesic_gap,
-                                 lorentz_weighted_energy)
+from smframe.diagnostics import DiagnosticsLog, DiagnosticsRow, energy_map, geodesic_gap
 from smframe.direct import MapState, map_moment
 from smframe.errors import CadenceMismatch, NegativeEnergy
 from smframe.field import Grid, gradient, integrate
 from smframe.gnls import gnls_mass, gnls_seed_from_map
 
+from reference import lorentz_weighted_energy
 from test_direct import _maps, _random_map
 
 

@@ -12,16 +12,15 @@ from smframe import presets
 from smframe.direct import MapState, heisenberg_step, parabolic_sm_step
 from smframe.errors import CFLViolation, InvalidStep, SmframeError
 from smframe.field import Grid, check_cfl, integrate
-from smframe.gnls import (GnlsState, _derive, connection_from_coordinates,
-                          gnls_dissipation, gnls_mass, gnls_rhs,
-                          gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_step,
+from smframe.gnls import (GnlsState, _derive, connection_from_coordinates, gnls_mass,
+                          gnls_rhs, gnls_seed_from_map, gnls_step, nls1d_energy, nls1d_step,
                           parabolic_gnls_step)
 from smframe.gauge import (best_reference_frame, compatibility_residual, coulomb_fix,
                            extract_coordinates, remove_mean_connection)
 from smframe.reconstruct import time_evolve_point
 
 import reference
-from reference import complex_derivative, complex_poisson, covariant_derivative
+from reference import complex_derivative, complex_poisson, covariant_derivative, gnls_dissipation
 
 
 def test_check_cfl():
@@ -178,13 +177,14 @@ def test_gnls_step_takes_real_transforms_of_the_real_fields(fft_census, real_fft
 
 
 def test_1d_gnls_step_takes_one_complex_transform_per_derivative(fft_census, real_fft_census):
-    # per right-hand side: a complex 1-D pair for d_x q and one for the
-    # dealias pass, and a real 1-D pair for a_0 (a_1 = 0 takes none)
+    # per right-hand side: one forward complex 1-D transform of the stacked
+    # (q, a_0 q), one inverse for d_x q and one for the memo's dq/dt; a_0 is
+    # the closed form and a_1 = 0, so no real transform
     g = Grid((64,), (8 * np.pi,))
     st = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0,
                    q=presets.random_bandlimited(g, 6, 0.3, 11)[np.newaxis])
     census = _step_census(st, fft_census, real_fft_census)
-    assert census == ({"fwd_1d": 12, "inv_1d": 12}, {"fwd_1d": 4, "inv_1d": 4})
+    assert census == ({"fwd_1d": 4, "inv_1d": 8}, {})
 
 
 def test_fields_are_derived_once_per_state():
@@ -236,6 +236,39 @@ def test_fields_only_pass_gives_the_full_pass_fields(dim_n, target, amplitude, s
     fields_only = _derive(target, grid, q, 1j, 1j, rhs=False)
     q0, a, a0 = GnlsState(grid=grid, target=target, time=0.0, q=q).fields()
     assert all(np.array_equal(x, y) for x, y in zip(fields_only, (q0, a, a0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.sampled_from([32, 64]),
+       target=hst.sampled_from([geo.SPHERE, geo.HYPERBOLIC]),
+       amplitude=hst.floats(0.1, 2.0), seed=hst.integers(0, 2**32 - 1), data=hst.data())
+def test_1d_closed_form_a0_is_the_elliptic_a0(n, target, amplitude, seed, data):
+    # with kmax <= n/8, |q|^2 is resolved and the closed form
+    # a_0 = -(kappa/2)(|q|^2 - |q(corner)|^2) solves Delta a_0 = d_x kappa <q, i q_0>;
+    # where |q|^2 reaches Nyquist the elliptic route aliases and the two differ.
+    # The elliptic route divides by k, so its round-off grows with the mode
+    # number of kmax: 5.7e-15 max|a_0| at most over 3,000 draws at kmax <= 8
+    grid = Grid((n,), (4 * np.pi,))
+    q = presets.random_bandlimited(grid, data.draw(hst.integers(1, n // 8)), amplitude, seed)
+    st = GnlsState(grid=grid, target=target, time=0.0, q=q[np.newaxis])
+    q0, _, a0 = st.fields()
+    ref_q0, ref_a0, ref_rhs = reference.nls1d_derive_elliptic(target, grid, st.q)
+    assert np.max(np.abs(q0 - ref_q0)) <= 1e-14 * np.max(np.abs(ref_q0))
+    assert np.max(np.abs(a0 - ref_a0)) <= 1e-14 * np.max(np.abs(a0))
+    assert np.max(np.abs(gnls_rhs(st) - ref_rhs)) <= 1e-14 * np.max(np.abs(ref_rhs))
+
+
+def test_1d_parabolic_step_keeps_its_real_elliptic_pair(fft_census, real_fft_census):
+    # for mu != i, f_10 has the part Im(i mu) kappa Im(q conj(q_x)), no gradient,
+    # so each of the two nonlinearity passes solves for a_0 by one real pair
+    g = Grid((64,), (8 * np.pi,))
+    st = GnlsState(grid=g, target=geo.HYPERBOLIC, time=0.0,
+                   q=presets.random_bandlimited(g, 6, 0.3, 11)[np.newaxis])
+    fft_census.clear()
+    real_fft_census.clear()
+    parabolic_gnls_step(st, 1e-4, 0.1)
+    assert (fft_census, real_fft_census) == ({"fwd_1d": 7, "inv_1d": 7},
+                                             {"fwd_1d": 2, "inv_1d": 2})
 
 
 def test_rhs_is_the_state_memo_and_read_only():

@@ -1,8 +1,10 @@
 """The equations' symmetries as properties: an isometry Q of the target maps
-solutions to solutions, SO(3) on S^2 and SO+(2,1) on H^2."""
+solutions to solutions, SO(3) on S^2 and SO+(2,1) on H^2, and the gauge-side
+stepper commutes with a global phase and with whole-cell translations."""
 
 import functools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from smframe import geometry as geo
+from smframe import presets
 from smframe.errors import MeanHolonomy
 from smframe.field import Grid
-from smframe.gnls import gnls_seed_from_map
+from smframe.gnls import GnlsState, gnls_seed_from_map, gnls_step
 from smframe.reconstruct import reconstruct_trajectory
 
 from test_reconstruct import _graph_map
@@ -83,3 +86,51 @@ def test_reconstruction_commutes_with_target_isometries(target, n, data):
         assert sq.time == st.time
         assert np.max(np.abs(st.u @ q.T - sq.u)) < 1e-13 * scale
         assert np.max(np.abs(st.e @ q.T - sq.e)) < 1e-13 * scale
+
+
+GNLS_DT = 1e-4
+#: round-off of the stepper's inputs, in units of max |q|
+ROUNDOFF = 32 * np.finfo(float).eps
+
+
+def _gnls_state(target, n, amplitude, seed):
+    """A gauge-side state of d random coordinates band-limited to n / 6."""
+    g = Grid(n, (8 * np.pi,) * len(n))
+    q = np.array([presets.random_bandlimited(g, n[0] // 6, amplitude, seed + l)
+                  for l in range(g.dim)])
+    return GnlsState(grid=g, target=target, time=0.0, q=q)
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC], ids=["sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [(64,), (32, 32)], ids=["1d", "2d"])
+@settings(max_examples=20, deadline=None)
+@given(phase=ANGLES, amplitude=hst.floats(0.1, 1.0), seed=hst.integers(0, 2**32 - 1))
+def test_gnls_step_commutes_with_a_global_phase(target, n, phase, amplitude, seed):
+    # f_lk, a and a_0 are invariant under q -> e^{i phi} q, so one step is
+    # covariant: 1.8 eps max|q| at most over 240 draws per dimension; |q|^2
+    # formed as Re(q)^2 alone (1-D) or f_lk as kappa Im(q_l q_k) (2-D) breaks it
+    st = _gnls_state(target, n, amplitude, seed)
+    turn = np.exp(1j * phase)
+    moved = gnls_step(replace(st, q=turn * st.q), GNLS_DT).q
+    expected = turn * gnls_step(st, GNLS_DT).q
+    assert np.max(np.abs(moved - expected)) <= ROUNDOFF * np.max(np.abs(st.q))
+
+
+@pytest.mark.parametrize("target", [geo.SPHERE, geo.HYPERBOLIC], ids=["sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [(64,), (32, 32)], ids=["1d", "2d"])
+@settings(max_examples=20, deadline=None)
+@given(data=hst.data(), amplitude=hst.floats(0.1, 1.0), seed=hst.integers(0, 2**32 - 1))
+def test_gnls_step_commutes_with_whole_cell_translations(target, n, data, amplitude, seed):
+    # a translation moves the box corner where a_0 is anchored, which shifts
+    # a_0 by a constant and the step by one global phase (up to 4e-5 max|q|
+    # here), taken out as the phase of <T step(q), step(T q)>: 1.7 eps max|q|
+    # at most over 240 draws per dimension; a_0 anchored on the corner row
+    # a_0[0] (2-D) breaks it
+    st = _gnls_state(target, n, amplitude, seed)
+    shift = tuple(data.draw(hst.integers(-m // 2, m // 2)) for m in n)
+    axes = tuple(range(1, len(n) + 1))
+    moved = gnls_step(replace(st, q=np.roll(st.q, shift, axes)), GNLS_DT).q
+    expected = np.roll(gnls_step(st, GNLS_DT).q, shift, axes)
+    overlap = np.vdot(expected, moved)
+    moved *= np.conj(overlap) / abs(overlap)
+    assert np.max(np.abs(moved - expected)) <= ROUNDOFF * np.max(np.abs(st.q))
